@@ -8,8 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use benchgen::BenchSpec;
 use dvi::{solve_heuristic, solve_ilp_lazy, DviParams, DviProblem, LazyIlpOptions};
 use sadp_grid::SadpKind;
-use sadp_router::dijkstra::{route_net, route_net_with};
-use sadp_router::search::route_connection_reference;
+use sadp_router::dijkstra::route_net;
 use sadp_router::state::RouterState;
 use sadp_router::{CostParams, Router, RouterConfig, SearchScratch};
 use tpl_decomp::{welsh_powell, window_is_fvp, DecompGraph, FvpIndex};
@@ -105,8 +104,8 @@ fn bench_dvi(c: &mut Criterion) {
 }
 
 fn bench_search(c: &mut Criterion) {
-    // Dense A* kernel vs the reference hash Dijkstra on the same
-    // net-routing workload (pristine state, shared scratch).
+    // The dense A* kernel on a net-routing workload (pristine state,
+    // shared scratch).
     let spec = BenchSpec::paper_suite()[0].scaled(0.03);
     let netlist = spec.generate(2);
     let state = RouterState::new(
@@ -123,20 +122,6 @@ fn bench_search(c: &mut Criterion) {
             let mut wl = 0u64;
             for (id, net) in netlist.iter() {
                 if let Some(r) = route_net(&state, id, net, &mut scratch) {
-                    wl += r.wirelength();
-                }
-            }
-            black_box(wl)
-        })
-    });
-    c.bench_function("search/reference_dijkstra_route_nets", |b| {
-        b.iter(|| {
-            let mut wl = 0u64;
-            for (id, net) in netlist.iter() {
-                let routed = route_net_with(&state, id, net, |st, id, src, tree, tgt, win| {
-                    route_connection_reference(st, id, src, tree, tgt, win)
-                });
-                if let Some(r) = routed {
                     wl += r.wirelength();
                 }
             }

@@ -100,7 +100,8 @@ fn main() {
             &input.netlist,
             RouterConfig::full(SadpKind::Sim),
         )
-        .run_with(&mut NoopObserver);
+        .try_finish(&mut NoopObserver)
+        .expect("routing flow");
         let problem = DviProblem::build(SadpKind::Sim, &out.solution);
         let mut dead = Vec::with_capacity(variants.len());
         let mut log = String::new();
@@ -157,8 +158,9 @@ fn main() {
             })
             .build()
             .expect("ablation params are valid");
-        let out =
-            RoutingSession::new(&input.grid, &input.netlist, config).run_with(&mut NoopObserver);
+        let out = RoutingSession::new(&input.grid, &input.netlist, config)
+            .try_finish(&mut NoopObserver)
+            .expect("routing flow");
         let problem = DviProblem::build(SadpKind::Sim, &out.solution);
         let h = solve_heuristic(&problem, &DviParams::default());
         let log = format!(
@@ -210,7 +212,8 @@ fn main() {
             &input.netlist,
             RouterConfig::full(SadpKind::Sim),
         )
-        .run_with(&mut NoopObserver);
+        .try_finish(&mut NoopObserver)
+        .expect("routing flow");
         let problem = DviProblem::build(SadpKind::Sim, &out.solution);
         let h = solve_heuristic(&problem, &DviParams::default());
         let hi = solve_heuristic_improved(&problem, &DviParams::default());

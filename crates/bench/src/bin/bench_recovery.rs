@@ -229,7 +229,8 @@ fn main() {
     let t0 = Instant::now();
     let cold = RoutingSession::try_new(&grid, &netlist, router_config)
         .expect("session builds")
-        .run_with(&mut obs);
+        .try_finish(&mut obs)
+        .expect("cold run finishes");
     let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
     // The snapshot a crashed worker would have left mid-run.
     let checkpoint = {
@@ -250,7 +251,9 @@ fn main() {
     let mut warm_session = RoutingSession::restore(&grid, &netlist, router_config, &checkpoint)
         .expect("checkpoint restores");
     warm_session.set_budget(RouteBudget::unlimited());
-    let warm = warm_session.finish(&mut obs);
+    let warm = warm_session
+        .try_finish(&mut obs)
+        .expect("warm run finishes");
     let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
     if (
         warm.stats.wirelength,

@@ -249,11 +249,7 @@ fn main() {
     }
     let json = format!(
         "{{\n  \"bench\": \"scale-sweep\",\n  \"seed\": {seed},\n  \"reps\": {reps},\n  \
-         \"queue\": \"{}\",\n  \"rungs\": [\n{}\n  ]\n}}\n",
-        match SearchScratch::new().queue_kind() {
-            sadp_router::QueueKind::Dial => "dial",
-            sadp_router::QueueKind::Heap => "heap",
-        },
+         \"rungs\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     std::fs::write(&out, &json).expect("write benchmark json");

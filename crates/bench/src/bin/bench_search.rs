@@ -1,7 +1,6 @@
-//! Before/after benchmark of the maze-routing search kernel: routes
-//! table1/table2-class workloads once with the reference hash-based
-//! Dijkstra and once with the dense A* kernel, then emits
-//! `BENCH_search.json` with ns/connection for both and the speedup.
+//! Benchmark of the maze-routing search kernel: routes
+//! table1/table2-class workloads with the dense A* kernel and emits
+//! `BENCH_search.json` with ns/connection per circuit.
 //!
 //! ```text
 //! cargo run --release -p bench-suite --bin bench_search \
@@ -15,19 +14,18 @@
 //! that keeps the observer plumbing (a `NoopObserver` monomorphizes to
 //! nothing) from taxing the search hot path.
 //!
-//! Both kernels route the same netlists in the same HPWL order with
-//! routes installed as they land (the initial-routing workload, which
-//! dominates router runtime). Equal-cost tie-breaks may give the two
-//! kernels slightly different installed routes mid-run; the per-kernel
-//! connection counts are reported so the ns/connection figures stay
-//! honest.
+//! The kernel routes the netlists in HPWL order with routes installed
+//! as they land (the initial-routing workload, which dominates router
+//! runtime). The committed baseline's `reference_*` and `speedup`
+//! fields (24.5x geomean) are historical: the hash-based reference
+//! kernel is a unit-test oracle now and is no longer measured.
 
 use std::time::Instant;
 
 use benchgen::BenchSpec;
 use sadp_grid::{NetId, SadpKind};
 use sadp_router::dijkstra::route_net_with;
-use sadp_router::search::{route_connection, route_connection_reference};
+use sadp_router::search::route_connection;
 use sadp_router::state::RouterState;
 use sadp_router::{CostParams, SearchScratch};
 
@@ -44,9 +42,9 @@ impl KernelRun {
     }
 }
 
-/// Routes every net of the instance with one kernel, timing only the
-/// per-net search calls (install/bookkeeping excluded).
-fn run_kernel(spec: &BenchSpec, seed: u64, dense: bool) -> KernelRun {
+/// Routes every net of the instance, timing only the per-net search
+/// calls (install/bookkeeping excluded).
+fn run_kernel(spec: &BenchSpec, seed: u64) -> KernelRun {
     let netlist = spec.generate(seed);
     let mut state = RouterState::new(
         spec.grid(),
@@ -69,11 +67,7 @@ fn run_kernel(spec: &BenchSpec, seed: u64, dense: bool) -> KernelRun {
         let t0 = Instant::now();
         let routed = route_net_with(&state, id, &netlist[id], |st, id, src, tree, tgt, win| {
             run.connections += 1;
-            if dense {
-                route_connection(st, id, src, tree, tgt, win, &mut scratch)
-            } else {
-                route_connection_reference(st, id, src, tree, tgt, win)
-            }
+            route_connection(st, id, src, tree, tgt, win, &mut scratch)
         });
         run.total_ns += t0.elapsed().as_nanos();
         match routed {
@@ -144,79 +138,44 @@ fn main() {
         std::process::exit(2);
     }
 
-    // One task per circuit. Both kernels stay interleaved *within* a
-    // task, so even when circuits time concurrently the contention
-    // hits both sides of each speedup ratio equally; logs and rows
-    // merge in suite order.
-    let per_spec: Vec<(String, f64, String)> = sadp_exec::map(&suite, |spec| {
-        // Best of `reps` per kernel, interleaved so thermal/cache
-        // drift hits both sides equally.
-        let mut reference: Option<KernelRun> = None;
-        let mut dense: Option<KernelRun> = None;
-        for _ in 0..reps.max(1) {
-            let r = run_kernel(spec, seed, false);
-            if reference
-                .as_ref()
-                .is_none_or(|best| r.total_ns < best.total_ns)
-            {
-                reference = Some(r);
-            }
-            let d = run_kernel(spec, seed, true);
-            if dense.as_ref().is_none_or(|best| d.total_ns < best.total_ns) {
-                dense = Some(d);
-            }
-        }
-        let (reference, dense) = (reference.unwrap(), dense.unwrap());
-        assert_eq!(
-            reference.failed, 0,
-            "{}: reference kernel failed nets",
-            spec.name
-        );
+    // One task per circuit; logs and rows merge in suite order.
+    let per_spec: Vec<(String, String)> = sadp_exec::map(&suite, |spec| {
+        let dense = (0..reps.max(1))
+            .map(|_| run_kernel(spec, seed))
+            .min_by_key(|run| run.total_ns)
+            .expect("at least one rep");
         assert_eq!(dense.failed, 0, "{}: dense kernel failed nets", spec.name);
-        let speedup = reference.ns_per_connection() / dense.ns_per_connection();
         let log = format!(
-            "  {}: {} nets, reference {:.0} ns/conn ({} conns), dense {:.0} ns/conn ({} conns) \
-             -> {:.2}x",
+            "  {}: {} nets, {:.0} ns/conn ({} conns)",
             spec.name,
-            reference.routed,
-            reference.ns_per_connection(),
-            reference.connections,
+            dense.routed,
             dense.ns_per_connection(),
             dense.connections,
-            speedup
         );
         let row = format!(
             "    {{\"name\": \"{}\", \"nets\": {}, \"grid\": [{}, {}], \
-             \"reference_ns_per_connection\": {:.1}, \"reference_connections\": {}, \
-             \"dense_ns_per_connection\": {:.1}, \"dense_connections\": {}, \
-             \"speedup\": {:.3}}}",
+             \"dense_ns_per_connection\": {:.1}, \"dense_connections\": {}}}",
             spec.name,
-            reference.routed,
+            dense.routed,
             spec.width,
             spec.height,
-            reference.ns_per_connection(),
-            reference.connections,
             dense.ns_per_connection(),
             dense.connections,
-            speedup
         );
-        (row, speedup, log)
+        (row, log)
     });
     let mut rows = Vec::new();
-    let mut log_speedup_sum = 0.0f64;
-    for (row, speedup, log) in per_spec {
+    for (row, log) in per_spec {
         eprintln!("{log}");
-        log_speedup_sum += speedup.ln();
         rows.push(row);
     }
-    let geomean = (log_speedup_sum / suite.len() as f64).exp();
     let json = format!(
         "{{\n  \"bench\": \"search-kernel\",\n  \"seed\": {seed},\n  \"scale\": {scale},\n  \
-         \"reps\": {reps},\n  \"workloads\": [\n{}\n  ],\n  \"geomean_speedup\": {geomean:.3}\n}}\n",
+         \"reps\": {reps},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     std::fs::write(&out, &json).expect("write benchmark json");
-    println!("geomean speedup: {geomean:.2}x -> {out}");
+    println!("{} circuit(s) -> {out}", suite.len());
 
     if let Some(path) = baseline {
         let text = std::fs::read_to_string(&path)

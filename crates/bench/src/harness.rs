@@ -210,7 +210,7 @@ pub fn run_arm_observed(
     if let Some(deadline) = args.time_budget {
         session.set_budget(RouteBudget::unlimited().with_deadline(deadline));
     }
-    let outcome = session.run_with(obs);
+    let outcome = session.try_finish(obs).expect("routing flow");
     let problem = DviProblem::build(config.sadp, &outcome.solution);
     let (dv, uv, dvi_cpu) = match args.dvi_mode {
         DviMode::Heuristic => {
@@ -396,7 +396,8 @@ pub fn ilp_vs_heuristic_table(kind: SadpKind, title: &str) {
         .collect();
     let rows: Vec<([f64; 7], String)> = sadp_exec::map(&inputs, |input| {
         let outcome = RoutingSession::new(&input.grid, &input.netlist, RouterConfig::full(kind))
-            .run_with(&mut NoopObserver);
+            .try_finish(&mut NoopObserver)
+            .expect("routing flow");
         assert!(outcome.routed_all, "{}: unroutable", input.name);
         let problem = DviProblem::build(kind, &outcome.solution);
         let heur = solve_heuristic_observed(&problem, &DviParams::default(), &mut NoopObserver);

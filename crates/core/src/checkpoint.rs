@@ -111,13 +111,30 @@ fn netlist_fingerprint(grid: &RoutingGrid, netlist: &Netlist) -> u64 {
     fnv1a(write_netlist(grid, netlist).as_bytes())
 }
 
-/// FNV-1a fingerprint binding a checkpoint to its configuration. The
-/// `Debug` form covers every routing-relevant knob (process kind,
-/// cost parameters, phase caps, coloring attempts); execution-only
-/// knobs (threads, sharding) are output-invariant by contract but
-/// harmless to include.
+/// FNV-1a fingerprint binding a checkpoint to the routing fields of
+/// its configuration: process kind, arm, cost parameters, both phase
+/// caps, and coloring attempts. The execution-only `shard` tuning is
+/// output-invariant, so a checkpoint restores under any region size.
+/// The exhaustive destructuring makes a new field a compile error here
+/// until it is classified.
 fn config_fingerprint(config: &RouterConfig) -> u64 {
-    fnv1a(format!("{config:?}").as_bytes())
+    let RouterConfig {
+        sadp,
+        consider_dvi,
+        consider_tpl,
+        params,
+        max_congestion_iters,
+        max_tpl_iters,
+        coloring_attempts,
+        shard: _,
+    } = config;
+    fnv1a(
+        format!(
+            "{sadp:?} {consider_dvi} {consider_tpl} {params:?} \
+             {max_congestion_iters} {max_tpl_iters} {coloring_attempts}"
+        )
+        .as_bytes(),
+    )
 }
 
 fn push_stats(out: &mut String, key: &str, s: RnrStats) {

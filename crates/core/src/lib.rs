@@ -61,5 +61,5 @@ pub use flow::{
     ConfigError, Router, RouterConfig, RouterConfigBuilder, RoutingOutcome, RoutingSession,
 };
 pub use sadp_grid::RouteError;
-pub use search::{QueueKind, SearchScratch};
+pub use search::SearchScratch;
 pub use shard::ShardParams;

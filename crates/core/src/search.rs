@@ -8,11 +8,10 @@
 //!
 //! # Why dense
 //!
-//! The original kernel (kept as [`route_connection_reference`] for
-//! differential testing and benchmarking) ran textbook Dijkstra over
-//! `HashMap` dist/parent maps with a fresh `BinaryHeap` per pin
-//! connection, paying a hash + allocate on every expanded state. This
-//! kernel instead indexes flat arrays by
+//! The original kernel (kept as a unit-test oracle) ran textbook
+//! Dijkstra over `HashMap` dist/parent maps with a fresh `BinaryHeap`
+//! per pin connection, paying a hash + allocate on every expanded
+//! state. This kernel instead indexes flat arrays by
 //! `(layer, x − x0, y − y0, in_dir)` over the active [`Window`] and
 //! reuses them across connections, nets, and R&R iterations through a
 //! caller-owned [`SearchScratch`]:
@@ -30,11 +29,11 @@
 //!   (1 byte): the predecessor point is recovered by stepping
 //!   backwards along the state's own incoming direction.
 //! * **Dial bucket-queue open set** — integer costs and a consistent
-//!   heuristic make the popped f-sequence monotone, so the open set
-//!   defaults to a [`DialQueue`] (O(1) push, near-O(1) pop) instead
-//!   of a binary heap; its pop order is *identical* to the heap's, so
-//!   routes are byte-for-byte the same under either. Select with
-//!   `SADP_SEARCH_QUEUE=heap|dial` or [`SearchScratch::with_queue`].
+//!   heuristic make the popped f-sequence monotone, so the open set is
+//!   a [`DialQueue`] (O(1) push, near-O(1) pop) instead of a binary
+//!   heap. Its pop order is *identical* to the heap's, pinned by the
+//!   randomized differential in `bucket.rs` and the monotone-push
+//!   `debug_assert` in `DialQueue::push`.
 //! * **Paged windows** — windows whose state count exceeds
 //!   [`FLAT_SLOT_LIMIT`] switch from the flat arrays to lazily
 //!   allocated 32×32-track tile pages, so a full-grid escalation on a
@@ -46,8 +45,7 @@
 //! open-set payload, where it keeps queue nodes at 16 bytes and gives
 //! a deterministic tie-break order.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use sadp_decomp::{classify_turn, TurnClass};
 use sadp_grid::{Dir, GridPoint, NetId, TurnKind, Via, WireEdge};
@@ -191,63 +189,6 @@ pub(crate) fn unkey(k: u64) -> (GridPoint, u8) {
     (GridPoint::new(layer, sx, sy), (k & 0xFF) as u8)
 }
 
-/// Which open-set implementation a [`SearchScratch`] drives the
-/// search with. Both produce byte-identical routes; they differ only
-/// in speed characteristics (see [`DialQueue`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Dial bucket queue (default): O(1) pushes, monotone cursor pops.
-    Dial,
-    /// The original `BinaryHeap<Reverse<(f, key)>>`.
-    Heap,
-}
-
-impl QueueKind {
-    /// Reads the `SADP_SEARCH_QUEUE` toggle (`"heap"` or `"dial"`);
-    /// anything else — including unset — selects [`QueueKind::Dial`].
-    pub fn from_env() -> QueueKind {
-        match std::env::var("SADP_SEARCH_QUEUE").as_deref() {
-            Ok("heap") => QueueKind::Heap,
-            _ => QueueKind::Dial,
-        }
-    }
-}
-
-/// The open set behind [`SearchScratch`]: either kind pops strictly
-/// in ascending `(f, key)` order, including entries pushed mid-drain.
-#[derive(Debug, Clone)]
-enum OpenSet {
-    /// Dial bucket queue.
-    Dial(DialQueue),
-    /// Reference binary heap.
-    Heap(BinaryHeap<Reverse<(i64, u64)>>),
-}
-
-impl OpenSet {
-    fn clear(&mut self) {
-        match self {
-            OpenSet::Dial(q) => q.clear(),
-            OpenSet::Heap(h) => h.clear(),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, f: i64, key: u64) {
-        match self {
-            OpenSet::Dial(q) => q.push(f, key),
-            OpenSet::Heap(h) => h.push(Reverse((f, key))),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(i64, u64)> {
-        match self {
-            OpenSet::Dial(q) => q.pop(),
-            OpenSet::Heap(h) => h.pop().map(|Reverse(p)| p),
-        }
-    }
-}
-
 /// Tile edge (in tracks) of one paged-window page.
 const TILE: usize = 32;
 const TILE_SHIFT: usize = 5;
@@ -313,7 +254,7 @@ pub struct SearchScratch {
     /// `true` when the active window is in paged mode.
     paged: bool,
     /// Open set: `(f = g + h, packed state key)`.
-    queue: OpenSet,
+    queue: DialQueue,
     /// Current search epoch (0 = no search begun).
     epoch: u32,
     /// Active window geometry.
@@ -340,16 +281,8 @@ impl Default for SearchScratch {
 }
 
 impl SearchScratch {
-    /// A scratch with empty buffers (they grow on first use), using
-    /// the open-set kind selected by `SADP_SEARCH_QUEUE` (Dial bucket
-    /// queue unless `=heap`).
+    /// A scratch with empty buffers (they grow on first use).
     pub fn new() -> SearchScratch {
-        SearchScratch::with_queue(QueueKind::from_env())
-    }
-
-    /// A scratch with an explicit open-set kind (differential tests
-    /// and benchmarks; normal callers use [`SearchScratch::new`]).
-    pub fn with_queue(kind: QueueKind) -> SearchScratch {
         SearchScratch {
             stamp: Vec::new(),
             dist: Vec::new(),
@@ -358,10 +291,7 @@ impl SearchScratch {
             page_slots: 0,
             tiles_x: 0,
             paged: false,
-            queue: match kind {
-                QueueKind::Dial => OpenSet::Dial(DialQueue::new()),
-                QueueKind::Heap => OpenSet::Heap(BinaryHeap::new()),
-            },
+            queue: DialQueue::new(),
             epoch: 0,
             x0: 0,
             y0: 0,
@@ -370,14 +300,6 @@ impl SearchScratch {
             expanded: 0,
             searches: 0,
             expansion_stop: None,
-        }
-    }
-
-    /// The open-set kind this scratch was created with.
-    pub fn queue_kind(&self) -> QueueKind {
-        match self.queue {
-            OpenSet::Dial(_) => QueueKind::Dial,
-            OpenSet::Heap(_) => QueueKind::Heap,
         }
     }
 
@@ -554,8 +476,8 @@ impl SearchScratch {
 /// leaves the window. Returns `None` when no path exists inside it.
 ///
 /// The returned path has exactly the cost Dijkstra would find; only
-/// tie-breaking among equal-cost paths may differ from
-/// [`route_connection_reference`].
+/// tie-breaking among equal-cost paths may differ from the hash-based
+/// reference kernel the unit tests compare against.
 pub fn route_connection(
     state: &RouterState,
     net: NetId,
@@ -724,11 +646,9 @@ pub fn route_connection(
 }
 
 /// The original hash-based Dijkstra kernel, kept verbatim as the
-/// reference for differential tests and the before/after benchmark
-/// (`reference-search` feature; always available to unit tests).
-#[cfg(any(test, feature = "reference-search"))]
-#[allow(clippy::expect_used)] // kept verbatim as the differential reference
-pub fn route_connection_reference(
+/// oracle of the differential tests below.
+#[cfg(test)]
+fn route_connection_reference(
     state: &RouterState,
     net: NetId,
     sources: &HashMap<GridPoint, Vec<Dir>>,
@@ -736,6 +656,9 @@ pub fn route_connection_reference(
     target: GridPoint,
     window: Window,
 ) -> Option<FoundPath> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     let params = &state.params;
     let grid = &state.grid;
     let mut dist: HashMap<u64, i64> = HashMap::new();
@@ -1101,50 +1024,6 @@ mod tests {
             connections > 100,
             "differential test exercised too few connections"
         );
-    }
-
-    /// Tentpole differential: the Dial bucket queue must leave every
-    /// route *byte-identical* to the heap kernel's, not just equal in
-    /// cost — the two open sets pop in the same order by construction
-    /// and this pins it end to end on randomized instances.
-    #[test]
-    fn dial_and_heap_kernels_route_identically() {
-        for seed in 0..8u64 {
-            let spec = BenchSpec {
-                name: "dial-diff",
-                nets: 18,
-                width: 32,
-                height: 32,
-            };
-            let nl = spec.generate(seed);
-            let kind = if seed % 2 == 0 {
-                SadpKind::Sim
-            } else {
-                SadpKind::Sid
-            };
-            let mut outcomes = Vec::new();
-            for queue in [QueueKind::Dial, QueueKind::Heap] {
-                let mut st =
-                    RouterState::new(spec.grid(), &nl, kind, CostParams::default(), true, true);
-                for k in 0..24 {
-                    st.bump_history(GridPoint::new(1 + (k % 2) as u8, k, (k * 5) % 32));
-                }
-                let mut scratch = SearchScratch::with_queue(queue);
-                assert_eq!(scratch.queue_kind(), queue);
-                let mut routes = Vec::new();
-                let ids: Vec<NetId> = nl.iter().map(|(id, _)| id).collect();
-                for id in ids {
-                    if let Some(r) = route_net(&st, id, &nl[id], &mut scratch) {
-                        st.install_route(id, r.clone());
-                        routes.push((id, r));
-                    }
-                }
-                outcomes.push((routes, scratch.expanded));
-            }
-            let (dial, heap) = (&outcomes[0], &outcomes[1]);
-            assert_eq!(dial.0, heap.0, "route divergence at seed {seed}");
-            assert_eq!(dial.1, heap.1, "expansion-count divergence at seed {seed}");
-        }
     }
 
     #[test]

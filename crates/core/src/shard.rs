@@ -14,7 +14,7 @@
 //!    congested point), inflated by the worst-case window escalation
 //!    of the first margin rung plus the cost-update write radius.
 //!    Disjointness is tracked on a coarse region bitmap (cell size
-//!    [`SHARD_REGION_ENV`], default 16): coarser granularity only
+//!    [`ShardParams::region`], default 16): coarser granularity only
 //!    makes admission more conservative, never unsound. Victim
 //!    selection uses a *virtual* rotation (start rotation + rips
 //!    planned so far), so the planned victims equal the serial ones.
@@ -58,68 +58,37 @@ use crate::rnr::{
 use crate::search::SearchScratch;
 use crate::state::{RouterState, SuspendedRoute};
 
-/// Environment variable disabling intra-instance sharding when set to
-/// `0` (any other value, or unset, leaves it enabled).
-pub const SHARD_ENV: &str = "SADP_SHARD";
+/// Maximum entries admitted per wave. Fixed (never derived from the
+/// thread count) so the planned waves are identical on every host.
+const MAX_WAVE: usize = 64;
 
-/// Environment variable setting the region cell size of the shard
-/// bitmap (≥ 1; default 16). Smaller regions admit more concurrent
-/// work per wave but cost more admission checks.
-pub const SHARD_REGION_ENV: &str = "SADP_SHARD_REGION";
-
-/// Tuning knobs of the sharded R&R scheduler.
-///
-/// The defaults come from the environment (see [`SHARD_ENV`] /
-/// [`SHARD_REGION_ENV`]); `RoutingSession::set_shard_params` overrides
-/// them per session. None of the knobs affect routing output — only
-/// how much of the serial schedule is overlapped.
+/// Tuning of the sharded R&R scheduler, set through
+/// `RouterConfig::shard`. It never affects routing output — only how
+/// much of the serial schedule is overlapped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardParams {
-    /// Master switch; `false` forces the pure serial path.
-    pub enabled: bool,
-    /// Region cell size of the claim bitmap (≥ 1).
+    /// Region cell size of the claim bitmap (≥ 1). Smaller regions
+    /// admit more concurrent work per wave but cost more admission
+    /// checks.
     pub region: i32,
-    /// Maximum entries admitted per wave. Fixed (never derived from
-    /// the thread count) so the planned waves are identical on every
-    /// host.
-    pub max_wave: usize,
 }
 
 impl Default for ShardParams {
     fn default() -> ShardParams {
-        ShardParams::from_env()
-    }
-}
-
-impl ShardParams {
-    /// Reads the knobs from the environment (unset → enabled, region
-    /// 16, wave cap 64).
-    pub fn from_env() -> ShardParams {
-        let enabled = std::env::var(SHARD_ENV).map_or(true, |v| v.trim() != "0");
-        let region = std::env::var(SHARD_REGION_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<i32>().ok())
-            .filter(|&r| r >= 1)
-            .unwrap_or(16);
-        ShardParams {
-            enabled,
-            region,
-            max_wave: 64,
-        }
+        ShardParams { region: 16 }
     }
 }
 
 /// `true` when the sharded scheduler applies to a phase activation.
 ///
-/// Sharding requires: enabled knobs, more than one pool thread, not
-/// already inside a pool worker (nested fan-out runs inline and would
-/// gain nothing), no expansion cap (a capped search can stop mid-net,
-/// which is inherently schedule-dependent), and no blocked-via
-/// enforcement (the TPL phase's `refresh_blocked_around` reads a ±4
-/// window, wider than the footprint write margin).
-pub(crate) fn should_shard(params: ShardParams, limits: &PhaseLimits, state: &RouterState) -> bool {
-    params.enabled
-        && limits.expansion_stop.is_none()
+/// Sharding requires: more than one pool thread, not already inside a
+/// pool worker (nested fan-out runs inline and would gain nothing), no
+/// expansion cap (a capped search can stop mid-net, which is
+/// inherently schedule-dependent), and no blocked-via enforcement (the
+/// TPL phase's `refresh_blocked_around` reads a ±4 window, wider than
+/// the footprint write margin).
+pub(crate) fn should_shard(limits: &PhaseLimits, state: &RouterState) -> bool {
+    limits.expansion_stop.is_none()
         && !state.enforce_blocked
         && !sadp_exec::in_worker()
         && sadp_exec::thread_count() > 1
@@ -340,7 +309,7 @@ pub(crate) fn negotiate_congestion_sharded(
         claims.clear();
         let mut entries: Vec<WaveEntry> = Vec::new();
         let mut rips = 0usize;
-        while entries.len() < params.max_wave {
+        while entries.len() < MAX_WAVE {
             let Some(&p) = work.queue.front() else {
                 break;
             };
@@ -428,11 +397,10 @@ pub(crate) fn negotiate_congestion_sharded(
         obs.counter(PHASE, Counter::Waves, 1);
         let state_ref: &RouterState = state;
         let entries_ref: &[WaveEntry] = &entries;
-        let queue = scratch.queue_kind();
         let specs = sadp_exec::try_map_with(
             entries.len(),
             pool,
-            move || SearchScratch::with_queue(queue),
+            SearchScratch::new,
             |s: &mut SearchScratch, i: usize| match entries_ref[i].planned {
                 Planned::Rip {
                     victim,
@@ -565,7 +533,7 @@ pub(crate) fn initial_routing_sharded(
         claims.clear();
         let remaining = work.order.len() - work.pos;
         let mut wave = 0usize;
-        while wave < params.max_wave.min(remaining) {
+        while wave < MAX_WAVE.min(remaining) {
             let net = &netlist[work.order[work.pos + wave]];
             let mut rect = match net.pins().first() {
                 Some(p0) => Rect::point(p0.x, p0.y),
@@ -591,11 +559,10 @@ pub(crate) fn initial_routing_sharded(
         obs.counter(PHASE, Counter::Waves, 1);
         let ids: Vec<NetId> = work.order[work.pos..work.pos + wave].to_vec();
         let state_ref: &RouterState = state;
-        let queue = scratch.queue_kind();
         let specs = sadp_exec::try_map_with(
             ids.len(),
             pool,
-            move || SearchScratch::with_queue(queue),
+            SearchScratch::new,
             |s: &mut SearchScratch, i: usize| {
                 let id = ids[i];
                 let (e0, s0) = (s.expanded, s.searches);
@@ -772,11 +739,7 @@ mod tests {
                     &mut failed2,
                     &mut SearchScratch::new(),
                     &mut pool,
-                    ShardParams {
-                        enabled: true,
-                        region: 8,
-                        max_wave: 64,
-                    },
+                    ShardParams { region: 8 },
                     &mut NoopObserver,
                 )
             })
@@ -852,11 +815,7 @@ mod tests {
                         &mut work,
                         &mut sc,
                         &mut pool,
-                        ShardParams {
-                            enabled: true,
-                            region,
-                            max_wave: 64,
-                        },
+                        ShardParams { region },
                         &mut NoopObserver,
                     )
                 });

@@ -38,7 +38,9 @@ fn iteration_capped_session_resumes_to_the_unbudgeted_fingerprint() {
     let (grid, netlist) = (spec.grid(), spec.generate(7));
     let config = RouterConfig::full(SadpKind::Sim);
 
-    let unbudgeted = RoutingSession::new(&grid, &netlist, config).run_with(&mut NoopObserver);
+    let unbudgeted = RoutingSession::new(&grid, &netlist, config)
+        .try_finish(&mut NoopObserver)
+        .expect("routing flow");
 
     // Interleave no-progress deadline stops (the budget expired before
     // the activation could run an iteration) with tiny iteration-cap
@@ -65,7 +67,7 @@ fn iteration_capped_session_resumes_to_the_unbudgeted_fingerprint() {
         "instance too small to exercise budget stops"
     );
     session.set_budget(RouteBudget::unlimited());
-    let resumed = session.finish(&mut obs);
+    let resumed = session.try_finish(&mut obs).expect("routing flow");
 
     assert_eq!(resumed.termination, Termination::Converged);
     assert_eq!(fingerprint(&resumed), fingerprint(&unbudgeted));
@@ -90,7 +92,7 @@ fn zero_deadline_outcome_is_valid_and_tagged() {
     let (grid, netlist) = (spec.grid(), spec.generate(1));
     let mut session = RoutingSession::new(&grid, &netlist, RouterConfig::full(SadpKind::Sim));
     session.set_budget(RouteBudget::unlimited().with_deadline(Duration::ZERO));
-    let out = session.finish(&mut NoopObserver);
+    let out = session.try_finish(&mut NoopObserver).expect("routing flow");
     assert_eq!(out.termination, Termination::Deadline);
     assert!(!out.routed_all, "nothing could have been routed");
     // The partial outcome still records into a report, flagged
@@ -112,7 +114,7 @@ fn expansion_capped_session_resumes_to_completion() {
     assert!(!session.converged());
     assert_eq!(session.termination(), Termination::ExpansionCap);
     session.set_budget(RouteBudget::unlimited());
-    let out = session.finish(&mut obs);
+    let out = session.try_finish(&mut obs).expect("routing flow");
     assert_eq!(out.termination, Termination::Converged);
     assert!(out.routed_all);
 }

@@ -9,7 +9,9 @@ use std::time::Duration;
 
 use benchgen::BenchSpec;
 use sadp_grid::{write_solution, Netlist, RouteError, RoutingGrid, SadpKind};
-use sadp_router::{RouteBudget, RouterConfig, RoutingOutcome, RoutingSession, Termination};
+use sadp_router::{
+    RouteBudget, RouterConfig, RoutingOutcome, RoutingSession, ShardParams, Termination,
+};
 use sadp_trace::{NoopObserver, RouteObserver};
 
 fn fingerprint(out: &RoutingOutcome) -> (String, [bool; 4], u64, u64) {
@@ -69,13 +71,18 @@ fn run_through_checkpoints(
         assert!(restores < 100_000, "restored session makes no progress");
     }
     session.set_budget(RouteBudget::unlimited());
-    (session.finish(&mut obs), restores)
+    (
+        session.try_finish(&mut obs).expect("routing flow"),
+        restores,
+    )
 }
 
 #[test]
 fn checkpoint_restored_run_matches_uninterrupted_fingerprint() {
     let (grid, netlist, config) = instance();
-    let uninterrupted = RoutingSession::new(&grid, &netlist, config).run_with(&mut NoopObserver);
+    let uninterrupted = RoutingSession::new(&grid, &netlist, config)
+        .try_finish(&mut NoopObserver)
+        .expect("routing flow");
     let (restored, restores) = run_through_checkpoints(&grid, &netlist, config, 3);
     assert!(
         restores > 1,
@@ -110,10 +117,44 @@ fn deadline_stopped_session_checkpoints_and_resumes() {
     let text = session.checkpoint();
     let mut restored = RoutingSession::restore(&grid, &netlist, config, &text).expect("restores");
     restored.set_budget(RouteBudget::unlimited());
-    let out = restored.finish(&mut NoopObserver);
+    let out = restored
+        .try_finish(&mut NoopObserver)
+        .expect("routing flow");
     assert_eq!(out.termination, Termination::Converged);
-    let clean = RoutingSession::new(&grid, &netlist, config).run_with(&mut NoopObserver);
+    let clean = RoutingSession::new(&grid, &netlist, config)
+        .try_finish(&mut NoopObserver)
+        .expect("routing flow");
     assert_eq!(fingerprint(&out), fingerprint(&clean));
+}
+
+/// A checkpoint binds only the routing fields of its configuration: a
+/// snapshot taken under a non-default shard region on two threads
+/// restores under the default configuration on one thread and finishes
+/// to the uninterrupted fingerprint.
+#[test]
+fn checkpoint_restores_under_another_shard_region_and_thread_count() {
+    let (grid, netlist, config) = instance();
+    let uninterrupted = RoutingSession::new(&grid, &netlist, config)
+        .try_finish(&mut NoopObserver)
+        .expect("routing flow");
+    let sharded = RouterConfig {
+        shard: ShardParams { region: 4 },
+        ..config
+    };
+    let text = sadp_exec::with_threads(2, || {
+        let mut session = RoutingSession::new(&grid, &netlist, sharded);
+        session.set_budget(RouteBudget::unlimited().with_max_phase_iters(5));
+        step(&mut session, &mut NoopObserver);
+        assert!(!session.converged(), "slice too large for this instance");
+        session.checkpoint()
+    });
+    let restored = sadp_exec::with_threads(1, || {
+        let mut session = RoutingSession::restore(&grid, &netlist, config, &text)
+            .expect("restores under the default shard region");
+        session.set_budget(RouteBudget::unlimited());
+        session.try_finish(&mut NoopObserver).expect("routing flow")
+    });
+    assert_eq!(fingerprint(&restored), fingerprint(&uninterrupted));
 }
 
 fn mid_run_checkpoint() -> (RoutingGrid, Netlist, RouterConfig, String) {

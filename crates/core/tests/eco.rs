@@ -21,7 +21,8 @@ use std::time::Duration;
 
 use benchgen::BenchSpec;
 use sadp_grid::{
-    GridPoint, LayoutDelta, Net, NetId, Netlist, Pin, RoutedNet, RoutingGrid, SadpKind,
+    write_solution, GridPoint, LayoutDelta, Net, NetId, Netlist, Pin, RouteError, RoutedNet,
+    RoutingGrid, SadpKind,
 };
 use sadp_router::budget::RouteBudget;
 use sadp_router::rnr::PinIndex;
@@ -262,11 +263,7 @@ fn eco_outcome_is_invariant_across_exec_knobs() {
         let config = RouterConfig::builder(SadpKind::Sim)
             .dvi(true)
             .tpl(true)
-            .shard(ShardParams {
-                enabled: true,
-                region,
-                max_wave: 64,
-            })
+            .shard(ShardParams { region })
             .build()
             .expect("valid config");
         let out = sadp_exec::with_threads(4, || eco_run(config, false));
@@ -288,4 +285,65 @@ fn apply_delta_rejects_mismatched_edited_netlist() {
         RoutingSession::try_new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).expect("valid base");
     assert!(session.ensure_colorable(&mut obs));
     assert!(session.apply_delta(&wrong, &delta, &mut obs).is_err());
+}
+
+/// A delta refused because `edited` is not base + delta must leave the
+/// session exactly as it was: finishing it gives the same solution and
+/// flags as a session that never saw the call.
+#[test]
+fn rejected_apply_delta_leaves_the_session_unchanged() {
+    let spec = spec();
+    let (grid, nl) = (spec.grid(), spec.generate(7));
+    let config = RouterConfig::full(SadpKind::Sim);
+    let text_and_flags = |out: &RoutingOutcome| {
+        (
+            write_solution(&out.solution),
+            [
+                out.routed_all,
+                out.congestion_free,
+                out.fvp_free,
+                out.colorable,
+            ],
+        )
+    };
+    let untouched = RoutingSession::try_new(&grid, &nl, config)
+        .expect("valid base")
+        .try_finish(&mut NoopObserver)
+        .expect("base finish");
+
+    // Move one pad of net 2 and add a net; the `edited` netlist the
+    // caller passes carries the added net but not the move.
+    let used: HashSet<(i32, i32)> = nl
+        .iter()
+        .flat_map(|(_, n)| n.pins().iter().map(|p| (p.x, p.y)))
+        .collect();
+    let free: Vec<Pin> = (0..grid.height())
+        .flat_map(|y| (0..grid.width()).map(move |x| (x, y)))
+        .filter(|c| !used.contains(c))
+        .map(|(x, y)| Pin::new(x, y))
+        .take(3)
+        .collect();
+    let added = Net::new("eco_new", vec![free[1], free[2]]);
+    let mut delta = LayoutDelta::new();
+    delta.move_pad(NetId(2), nl[NetId(2)].pins()[0], free[0]);
+    delta.add_net(added.clone());
+    let mut wrong = nl.clone();
+    wrong.push(added);
+
+    let mut obs = NoopObserver;
+    let mut session = RoutingSession::try_new(&grid, &nl, config).expect("valid base");
+    assert!(session.ensure_colorable(&mut obs));
+    let err = session
+        .apply_delta(&wrong, &delta, &mut obs)
+        .expect_err("edited netlist lacks the pad move");
+    assert!(matches!(err, RouteError::InvalidNetlist { .. }), "{err}");
+    let out = session
+        .try_finish(&mut obs)
+        .expect("finish after rejection");
+    assert_eq!(
+        out.solution.routed_count(),
+        untouched.solution.routed_count(),
+        "the rejected delta ripped a route"
+    );
+    assert_eq!(text_and_flags(&out), text_and_flags(&untouched));
 }

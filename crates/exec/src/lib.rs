@@ -117,12 +117,10 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// RAII form of [`with_threads`]: pins the pool width for this thread
-/// until the guard drops (restoring the previous override). Lets a
-/// `&mut self` method install a width for its own body where a
-/// closure-based scope would fight the borrow checker.
+/// Pins the pool width for this thread until it drops, then restores
+/// the previous override — also when a [`with_threads`] scope unwinds.
 #[must_use = "the override is lifted when the guard drops"]
-pub struct ThreadsGuard {
+struct ThreadsGuard {
     prev: Option<usize>,
 }
 
@@ -135,7 +133,7 @@ impl Drop for ThreadsGuard {
 
 /// Installs a scoped pool-width override on this thread (see
 /// [`ThreadsGuard`]). A width of 0 is clamped to 1 (serial).
-pub fn push_threads(threads: usize) -> ThreadsGuard {
+fn push_threads(threads: usize) -> ThreadsGuard {
     ThreadsGuard {
         prev: OVERRIDE.with(|c| c.replace(Some(threads.max(1)))),
     }

@@ -275,10 +275,10 @@ impl RouteRequest {
         }
     }
 
-    /// The router configuration this request resolves to. Execution
-    /// knobs (threads/shard/queue) take the process defaults — they
-    /// are output-invariant, so the request still fully determines the
-    /// routing result.
+    /// The router configuration this request resolves to. The shard
+    /// region keeps its default and the pool width comes from
+    /// `sadp-exec` — both are output-invariant, so the request still
+    /// fully determines the routing result.
     pub fn router_config(&self) -> Result<RouterConfig, ConfigError> {
         let (dvi, tpl) = match self.arm {
             Arm::Baseline => (false, false),

@@ -19,6 +19,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
 use sadp_grid::SadpKind;
+pub use sadp_trace::escape;
 
 use crate::job::{Arm, JobBudget, JobOutcome, JobSource, Priority, RouteRequest};
 use crate::service::{JobState, Service, ShutdownMode};
@@ -235,25 +236,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             }
         }
     }
-}
-
-/// Escapes `s` as the inside of a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Encodes a request in its canonical wire form — fixed field order,

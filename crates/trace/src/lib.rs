@@ -639,7 +639,11 @@ pub fn merge_reports(title: &str, reports: &[JsonReport]) -> String {
     out
 }
 
-fn escape(s: &str) -> String {
+/// Escapes `s` as the inside of a JSON string literal: quote,
+/// backslash, and control characters (`\n`, `\r`, `\t` by name, the
+/// rest as `\u00XX`). The one escaper of the workspace; the service
+/// wire protocol re-exports it.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -694,6 +698,14 @@ mod tests {
             1
         );
         assert_eq!(log.total(Phase::InitialRouting, Counter::Reroutes), 0);
+    }
+
+    #[test]
+    fn escape_maps_quotes_backslashes_and_controls() {
+        assert_eq!(
+            escape("a\"b\\c\nd\re\tf\u{1}g é"),
+            "a\\\"b\\\\c\\nd\\re\\tf\\u0001g é"
+        );
     }
 
     #[test]

@@ -44,7 +44,9 @@ fn main() {
         ];
         for (label, config) in arms {
             let mut report = JsonReport::new(format!("{kind}/{}", label.trim()));
-            let outcome = RoutingSession::new(&grid, &netlist, config).run_with(&mut report);
+            let outcome = RoutingSession::new(&grid, &netlist, config)
+                .try_finish(&mut report)
+                .expect("routing flow");
             let problem = DviProblem::build(kind, &outcome.solution);
             let dvi = solve_heuristic_observed(&problem, &DviParams::default(), &mut report);
             outcome.record_into(&mut report);

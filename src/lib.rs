@@ -30,7 +30,9 @@
 //!     .tpl(true)
 //!     .build()
 //!     .expect("valid config");
-//! let outcome = RoutingSession::new(&grid, &netlist, config).run_with(&mut NoopObserver);
+//! let outcome = RoutingSession::new(&grid, &netlist, config)
+//!     .try_finish(&mut NoopObserver)
+//!     .expect("routing flow");
 //! assert!(outcome.routed_all);
 //! ```
 

@@ -15,7 +15,8 @@ fn full_arm_is_clean_for_both_processes() {
         let grid = spec().grid();
         // The staged session borrows grid and netlist — no clones.
         let out = RoutingSession::new(&grid, &netlist, RouterConfig::full(kind))
-            .run_with(&mut NoopObserver);
+            .try_finish(&mut NoopObserver)
+            .expect("routing flow");
         assert!(out.routed_all, "{kind}: routability");
         assert!(out.congestion_free, "{kind}: congestion");
         assert!(out.fvp_free, "{kind}: FVPs");
@@ -32,8 +33,9 @@ fn sim_trim_variant_works_end_to_end() {
     let kind = SadpKind::SimTrim;
     let netlist = spec().generate(11);
     let grid = spec().grid();
-    let out =
-        RoutingSession::new(&grid, &netlist, RouterConfig::full(kind)).run_with(&mut NoopObserver);
+    let out = RoutingSession::new(&grid, &netlist, RouterConfig::full(kind))
+        .try_finish(&mut NoopObserver)
+        .expect("routing flow");
     assert!(out.routed_all && out.congestion_free && out.fvp_free && out.colorable);
     let audit = full_audit(kind, &out.solution, &netlist);
     assert!(audit.is_clean(), "{audit:?}");
@@ -54,7 +56,9 @@ fn all_arms_route_everything() {
     let netlist = spec().generate(3);
     let grid = spec().grid();
     for config in configs {
-        let out = RoutingSession::new(&grid, &netlist, config).run_with(&mut NoopObserver);
+        let out = RoutingSession::new(&grid, &netlist, config)
+            .try_finish(&mut NoopObserver)
+            .expect("routing flow");
         assert!(out.routed_all && out.congestion_free);
         // Always SADP-legal and short-free, whatever the arm.
         let audit = full_audit(kind, &out.solution, &netlist);
@@ -139,9 +143,11 @@ fn paper_shape_dead_vias_fall_with_consideration() {
     for seed in [1, 2, 3] {
         let netlist = spec().generate(seed);
         let base = RoutingSession::new(&grid, &netlist, RouterConfig::baseline(kind))
-            .run_with(&mut NoopObserver);
+            .try_finish(&mut NoopObserver)
+            .expect("routing flow");
         let full = RoutingSession::new(&grid, &netlist, RouterConfig::full(kind))
-            .run_with(&mut NoopObserver);
+            .try_finish(&mut NoopObserver)
+            .expect("routing flow");
         let pb = DviProblem::build(kind, &base.solution);
         let pf = DviProblem::build(kind, &full.solution);
         dead_base += solve_heuristic(&pb, &DviParams::default()).dead_via_count;
@@ -167,7 +173,8 @@ fn bus_style_netlists_route_clean() {
     let netlist = s.generate_bus_style(3, 0.6);
     let grid = s.grid();
     let out = RoutingSession::new(&grid, &netlist, RouterConfig::full(SadpKind::Sim))
-        .run_with(&mut NoopObserver);
+        .try_finish(&mut NoopObserver)
+        .expect("routing flow");
     assert!(out.routed_all && out.congestion_free && out.fvp_free && out.colorable);
     let audit = full_audit(SadpKind::Sim, &out.solution, &netlist);
     assert!(audit.is_clean(), "{audit:?}");

@@ -34,7 +34,9 @@ fn small_case() -> (RoutingGrid, Netlist) {
 fn full_arm_emits_the_golden_phase_sequence() {
     let (grid, nl) = small_case();
     let mut log = EventLog::new();
-    let out = RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).run_with(&mut log);
+    let out = RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim))
+        .try_finish(&mut log)
+        .expect("routing flow");
     assert!(out.routed_all && out.congestion_free && out.colorable);
     assert!(log.balanced(), "every phase_start has a matching phase_end");
     assert_eq!(
@@ -53,8 +55,9 @@ fn full_arm_emits_the_golden_phase_sequence() {
 fn baseline_arm_emits_no_tpl_phase() {
     let (grid, nl) = small_case();
     let mut log = EventLog::new();
-    let out =
-        RoutingSession::new(&grid, &nl, RouterConfig::baseline(SadpKind::Sim)).run_with(&mut log);
+    let out = RoutingSession::new(&grid, &nl, RouterConfig::baseline(SadpKind::Sim))
+        .try_finish(&mut log)
+        .expect("routing flow");
     assert!(out.routed_all);
     assert!(log.balanced());
     // Baseline still *reports* colorability (ColoringFix span) but never
@@ -74,7 +77,9 @@ fn baseline_arm_emits_no_tpl_phase() {
 fn golden_counter_totals_match_outcome_stats() {
     let (grid, nl) = small_case();
     let mut log = EventLog::new();
-    let out = RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).run_with(&mut log);
+    let out = RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim))
+        .try_finish(&mut log)
+        .expect("routing flow");
 
     // Counter totals and RnrStats are two views of the same run.
     for (phase, stats) in [
@@ -109,7 +114,9 @@ fn golden_sequence_is_reproducible() {
     let (grid, nl) = small_case();
     let run = || {
         let mut log = EventLog::new();
-        RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sid)).run_with(&mut log);
+        RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sid))
+            .try_finish(&mut log)
+            .expect("routing flow");
         log.events().to_vec()
     };
     assert_eq!(run(), run());
@@ -123,8 +130,9 @@ fn golden_sequence_is_reproducible() {
 fn report_spans_cover_all_phases_once() {
     let (grid, nl) = small_case();
     let mut report = JsonReport::new("golden/full");
-    let out =
-        RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).run_with(&mut report);
+    let out = RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim))
+        .try_finish(&mut report)
+        .expect("routing flow");
     out.record_into(&mut report);
     for phase in [
         Phase::InitialRouting,
@@ -153,7 +161,8 @@ fn span_durations_sum_within_total_runtime() {
     let grid = spec().grid();
     let mut report = JsonReport::new("timing");
     let out = RoutingSession::new(&grid, &netlist, RouterConfig::full(SadpKind::Sim))
-        .run_with(&mut report);
+        .try_finish(&mut report)
+        .expect("routing flow");
     assert!(
         report.span_total() <= out.runtime,
         "span sum {:?} exceeds runtime {:?}",
@@ -167,9 +176,13 @@ fn report_and_log_agree_on_counter_totals() {
     let (grid, nl) = small_case();
     let config = RouterConfig::full(SadpKind::Sim);
     let mut log = EventLog::new();
-    RoutingSession::new(&grid, &nl, config).run_with(&mut log);
+    RoutingSession::new(&grid, &nl, config)
+        .try_finish(&mut log)
+        .expect("routing flow");
     let mut report = JsonReport::new("agree");
-    RoutingSession::new(&grid, &nl, config).run_with(&mut report);
+    RoutingSession::new(&grid, &nl, config)
+        .try_finish(&mut report)
+        .expect("routing flow");
     for phase in Phase::ALL {
         for counter in [
             Counter::Iterations,
@@ -193,8 +206,9 @@ fn report_and_log_agree_on_counter_totals() {
 fn dvi_spans_attach_to_the_same_report() {
     let (grid, nl) = small_case();
     let mut report = JsonReport::new("with-dvi");
-    let out =
-        RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim)).run_with(&mut report);
+    let out = RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim))
+        .try_finish(&mut report)
+        .expect("routing flow");
     let problem = DviProblem::build(SadpKind::Sim, &out.solution);
     let dvi = solve_heuristic_observed(&problem, &DviParams::default(), &mut report);
     assert_eq!(report.spans_of(Phase::Dvi).count(), 1);
@@ -253,11 +267,11 @@ proptest! {
         let grid = RoutingGrid::three_layer(26, 26);
         let config = RouterConfig::full(kind);
         let quiet =
-            RoutingSession::new(&grid, &nl, config).run_with(&mut NoopObserver);
+            RoutingSession::new(&grid, &nl, config).try_finish(&mut NoopObserver).expect("routing flow");
         let mut report = JsonReport::new("prop");
-        let reported = RoutingSession::new(&grid, &nl, config).run_with(&mut report);
+        let reported = RoutingSession::new(&grid, &nl, config).try_finish(&mut report).expect("routing flow");
         let mut log = EventLog::new();
-        let logged = RoutingSession::new(&grid, &nl, config).run_with(&mut log);
+        let logged = RoutingSession::new(&grid, &nl, config).try_finish(&mut log).expect("routing flow");
         prop_assert_eq!(quiet.stats, reported.stats);
         let baseline_text = write_solution(&quiet.solution);
         prop_assert_eq!(&baseline_text, &write_solution(&reported.solution));
@@ -275,7 +289,7 @@ proptest! {
             RouterConfig::baseline(SadpKind::Sim)
         };
         let mut report = JsonReport::new("prop-timing");
-        let out = RoutingSession::new(&grid, &nl, config).run_with(&mut report);
+        let out = RoutingSession::new(&grid, &nl, config).try_finish(&mut report).expect("routing flow");
         prop_assert!(report.span_total() <= out.runtime);
     }
 }

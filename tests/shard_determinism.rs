@@ -22,14 +22,11 @@ fn run_arm(
     netlist: &Netlist,
     config: RouterConfig,
     threads: usize,
-    params: Option<ShardParams>,
 ) -> RoutingOutcome {
     sadp_exec::with_threads(threads, || {
-        let mut session = RoutingSession::new(grid, netlist, config);
-        if let Some(p) = params {
-            session.set_shard_params(p);
-        }
-        session.finish(&mut NoopObserver)
+        RoutingSession::new(grid, netlist, config)
+            .try_finish(&mut NoopObserver)
+            .expect("routing flow")
     })
 }
 
@@ -63,16 +60,15 @@ fn sharded_outcomes_are_identical_across_threads_and_regions() {
         RouterConfig::baseline(SadpKind::Sim),
         RouterConfig::full(SadpKind::Sim),
     ] {
-        let serial = run_arm(&grid, &netlist, config, 1, None);
+        let serial = run_arm(&grid, &netlist, config, 1);
         assert!(serial.routed_all, "fixture must route fully");
         for threads in [2, 4, 8] {
             for region in [4, 16, 64] {
-                let params = ShardParams {
-                    enabled: true,
-                    region,
-                    max_wave: 64,
+                let config = RouterConfig {
+                    shard: ShardParams { region },
+                    ..config
                 };
-                let sharded = run_arm(&grid, &netlist, config, threads, Some(params));
+                let sharded = run_arm(&grid, &netlist, config, threads);
                 assert_same_outcome(
                     &serial,
                     &sharded,
@@ -93,13 +89,9 @@ fn sharded_counter_totals_match_serial() {
     let totals = |threads: usize| {
         sadp_exec::with_threads(threads, || {
             let mut log = EventLog::new();
-            let mut session = RoutingSession::new(&grid, &netlist, config);
-            session.set_shard_params(ShardParams {
-                enabled: true,
-                region: 16,
-                max_wave: 64,
-            });
-            session.finish(&mut log);
+            RoutingSession::new(&grid, &netlist, config)
+                .try_finish(&mut log)
+                .expect("routing flow");
             [
                 Counter::Iterations,
                 Counter::Reroutes,
@@ -126,16 +118,11 @@ fn sharded_counter_totals_match_serial() {
 fn budget_interrupted_sharded_run_resumes_to_the_serial_outcome() {
     let (grid, netlist) = instance();
     let config = RouterConfig::full(SadpKind::Sim);
-    let serial = run_arm(&grid, &netlist, config, 1, None);
+    let serial = run_arm(&grid, &netlist, config, 1);
 
     for threads in [2, 4] {
         let resumed = sadp_exec::with_threads(threads, || {
             let mut session = RoutingSession::new(&grid, &netlist, config);
-            session.set_shard_params(ShardParams {
-                enabled: true,
-                region: 16,
-                max_wave: 64,
-            });
             // Drip-feed the phases a few iterations at a time; every
             // budget stop lands mid-phase and must roll the in-flight
             // wave back to an exact serial state before resuming.
@@ -151,27 +138,8 @@ fn budget_interrupted_sharded_run_resumes_to_the_serial_outcome() {
             }
             assert!(slices > 2, "the cap must actually interrupt the run");
             session.set_budget(RouteBudget::unlimited());
-            session.finish(&mut NoopObserver)
+            session.try_finish(&mut NoopObserver).expect("routing flow")
         });
         assert_same_outcome(&serial, &resumed, &format!("resumed threads={threads}"));
     }
-}
-
-#[test]
-fn disabling_sharding_still_matches() {
-    let (grid, netlist) = instance();
-    let config = RouterConfig::full(SadpKind::Sim);
-    let serial = run_arm(&grid, &netlist, config, 1, None);
-    let disabled = run_arm(
-        &grid,
-        &netlist,
-        config,
-        4,
-        Some(ShardParams {
-            enabled: false,
-            region: 16,
-            max_wave: 64,
-        }),
-    );
-    assert_same_outcome(&serial, &disabled, "sharding disabled");
 }
