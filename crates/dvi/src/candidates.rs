@@ -509,11 +509,25 @@ impl DviProblem {
         layers
     }
 
+    /// One past the highest via layer of the problem (0 when it has
+    /// no vias): the length of a table indexed by via layer.
+    pub(crate) fn via_layer_bound(&self) -> u8 {
+        self.vias
+            .iter()
+            .map(|pv| pv.via.below + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Builds the shared by-location candidate index used by the DVI
     /// solvers; per-cell iteration yields ascending candidate indices.
     pub(crate) fn candidate_loc_index(&self) -> LocIndex {
-        let layers = self.via_layers().last().map_or(0, |l| l + 1);
-        LocIndex::of_candidate_locs(layers, self.grid_width, self.grid_height, &self.candidates)
+        LocIndex::of_candidate_locs(
+            self.via_layer_bound(),
+            self.grid_width,
+            self.grid_height,
+            &self.candidates,
+        )
     }
 }
 

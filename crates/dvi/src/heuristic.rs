@@ -16,16 +16,17 @@
 //! valid — its via already protected, a conflicting candidate already
 //! inserted, or insertion would create an FVP — is discarded.
 //!
-//! After insertion, redundant vias are TPL-colored against the
-//! pre-colored existing vias; any uncolorable redundant via is
-//! un-inserted, so via layers stay TPL decomposable.
+//! After insertion, redundant vias are TPL-colored first-fit, in
+//! insertion order, against a Welsh–Powell pre-coloring of the
+//! existing vias; any uncolorable redundant via is un-inserted, so via
+//! layers stay TPL decomposable.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use sadp_trace::{Phase, RouteObserver};
-use tpl_decomp::{vias_conflict, welsh_powell, DecompGraph, FvpIndex};
+use tpl_decomp::{welsh_powell, DecompGraph, FvpIndex, CONFLICT_OFFSETS};
 
 use crate::candidates::{DviProblem, LocIndex};
 use crate::report::DviOutcome;
@@ -54,9 +55,9 @@ impl Default for DviParams {
 struct HeurState<'p> {
     problem: &'p DviProblem,
     params: DviParams,
-    /// Per via layer: incremental FVP index over existing + inserted
-    /// vias.
-    fvp: HashMap<u8, FvpIndex>,
+    /// Incremental FVP index over existing + inserted vias, indexed by
+    /// via layer.
+    fvp: Vec<FvpIndex>,
     conflict_adj: Vec<Vec<u32>>,
     inserted: Vec<bool>,
     protected: Vec<bool>,
@@ -70,16 +71,14 @@ impl<'p> HeurState<'p> {
         let h = problem.grid_height().max(3);
         // Per-via-layer FVP index construction fans out on the
         // execution pool (one independent index per layer).
-        let layers = problem.via_layers();
-        let fvp: HashMap<u8, FvpIndex> = sadp_exec::map(&layers, |&layer| {
+        let layers: Vec<u8> = (0..problem.via_layer_bound()).collect();
+        let fvp = sadp_exec::map(&layers, |&layer| {
             let mut idx = FvpIndex::new(w, h);
             for (x, y) in problem.existing_on_layer(layer) {
                 idx.add_via(x, y);
             }
-            (layer, idx)
-        })
-        .into_iter()
-        .collect();
+            idx
+        });
         let mut conflict_adj = vec![Vec::new(); problem.candidates().len()];
         for &(a, b) in problem.conflicts() {
             conflict_adj[a as usize].push(b);
@@ -109,7 +108,7 @@ impl<'p> HeurState<'p> {
         {
             return false;
         }
-        !self.fvp[&cand.via_layer].would_create_fvp(cand.loc.0, cand.loc.1)
+        !self.fvp[usize::from(cand.via_layer)].would_create_fvp(cand.loc.0, cand.loc.1)
     }
 
     fn feasible_count(&self, via_idx: u32) -> i64 {
@@ -151,20 +150,16 @@ impl<'p> HeurState<'p> {
             }
         }
         // Simulate the insertion.
-        let Some(idx) = self.fvp.get_mut(&layer) else {
-            return 0; // candidate on an unknown layer: no FVP impact
-        };
+        let idx = &mut self.fvp[usize::from(layer)];
         idx.add_via(cx, cy);
-        let mut killed = 0i64;
-        for &o in &nearby {
-            let oc = &self.problem.candidates()[o as usize];
-            if self.fvp[&layer].would_create_fvp(oc.loc.0, oc.loc.1) {
-                killed += 1;
-            }
-        }
-        if let Some(idx) = self.fvp.get_mut(&layer) {
-            idx.remove_via(cx, cy);
-        }
+        let killed = nearby
+            .iter()
+            .filter(|&&o| {
+                let oc = &self.problem.candidates()[o as usize];
+                idx.would_create_fvp(oc.loc.0, oc.loc.1)
+            })
+            .count() as i64;
+        idx.remove_via(cx, cy);
         killed
     }
 
@@ -179,26 +174,24 @@ impl<'p> HeurState<'p> {
         let cand = &self.problem.candidates()[c as usize];
         self.inserted[c as usize] = true;
         self.protected[cand.via_idx as usize] = true;
-        if let Some(idx) = self.fvp.get_mut(&cand.via_layer) {
-            idx.add_via(cand.loc.0, cand.loc.1);
-        }
+        self.fvp[usize::from(cand.via_layer)].add_via(cand.loc.0, cand.loc.1);
     }
 
     fn uninsert(&mut self, c: u32) {
         let cand = &self.problem.candidates()[c as usize];
         self.inserted[c as usize] = false;
-        if let Some(idx) = self.fvp.get_mut(&cand.via_layer) {
-            idx.remove_via(cand.loc.0, cand.loc.1);
-        }
+        self.fvp[usize::from(cand.via_layer)].remove_via(cand.loc.0, cand.loc.1);
     }
 }
 
 /// Pre-colors the existing vias per via layer with Welsh–Powell.
 /// Layers are independent decomposition graphs, so the coloring fans
 /// out per layer and merges in layer order (deterministic for any
-/// thread count).
+/// thread count). Vias of different nets at one position share that
+/// position's vertex, and so its color.
 fn precolor(problem: &DviProblem) -> (Vec<Option<u8>>, usize) {
     let layers = problem.via_layers();
+    let pos = |i: usize| (problem.vias()[i].via.x, problem.vias()[i].via.y);
     let per_layer: Vec<(Vec<usize>, Vec<Option<u8>>)> = sadp_exec::map(&layers, |&layer| {
         let idxs: Vec<usize> = problem
             .vias()
@@ -207,31 +200,120 @@ fn precolor(problem: &DviProblem) -> (Vec<Option<u8>>, usize) {
             .filter(|(_, pv)| pv.via.below == layer)
             .map(|(i, _)| i)
             .collect();
-        let graph = DecompGraph::from_positions(
-            idxs.iter()
-                .map(|&i| (problem.vias()[i].via.x, problem.vias()[i].via.y)),
-        );
+        let graph = DecompGraph::from_positions(idxs.iter().map(|&i| pos(i)));
         let out = welsh_powell(&graph, 3);
-        (idxs, out.colors)
+        let colors = idxs
+            .iter()
+            .map(|&i| graph.vertex_at(pos(i)).and_then(|v| out.colors[v as usize]))
+            .collect();
+        (idxs, colors)
     });
     let mut colors: Vec<Option<u8>> = vec![None; problem.via_count()];
     let mut uncolorable = 0usize;
     for (idxs, layer_colors) in per_layer {
-        for (k, &i) in idxs.iter().enumerate() {
-            colors[i] = layer_colors[k];
-            if layer_colors[k].is_none() {
-                uncolorable += 1;
-            }
+        for (&i, &col) in idxs.iter().zip(&layer_colors) {
+            colors[i] = col;
+            uncolorable += usize::from(col.is_none());
         }
     }
     (colors, uncolorable)
 }
 
+/// Largest `|dx|` or `|dy|` of a [`CONFLICT_OFFSETS`] entry.
+const CONFLICT_REACH: i32 = 2;
+
+/// One used-color byte per via-layer cell: bit `k` is set when a
+/// colored via there has color `k`. The grid is padded by
+/// [`CONFLICT_REACH`] on every side, so the 20 conflict offsets around
+/// any grid cell index it without bounds tests.
+struct ColorGrid {
+    /// Padded column length.
+    stride: usize,
+    /// Padded cells per via layer.
+    layer_cells: usize,
+    /// [`CONFLICT_OFFSETS`] as cell-index deltas.
+    deltas: [isize; 20],
+    bits: Vec<u8>,
+}
+
+impl ColorGrid {
+    fn new(layers: u8, width: i32, height: i32) -> ColorGrid {
+        let stride = (height + 2 * CONFLICT_REACH) as usize;
+        let layer_cells = (width + 2 * CONFLICT_REACH) as usize * stride;
+        ColorGrid {
+            stride,
+            layer_cells,
+            deltas: CONFLICT_OFFSETS.map(|(dx, dy)| dx as isize * stride as isize + dy as isize),
+            bits: vec![0; usize::from(layers) * layer_cells],
+        }
+    }
+
+    /// The padded cell of grid point `(x, y)` on `layer`.
+    fn cell(&self, layer: u8, x: i32, y: i32) -> usize {
+        usize::from(layer) * self.layer_cells
+            + (x + CONFLICT_REACH) as usize * self.stride
+            + (y + CONFLICT_REACH) as usize
+    }
+
+    fn mark(&mut self, layer: u8, x: i32, y: i32, color: u8) {
+        let cell = self.cell(layer, x, y);
+        self.bits[cell] |= 1 << color;
+    }
+
+    /// The colors of the vias within same-color pitch of
+    /// `(layer, x, y)`, as a bit set.
+    fn used_around(&self, layer: u8, x: i32, y: i32) -> u8 {
+        let cell = self.cell(layer, x, y);
+        self.deltas
+            .iter()
+            .fold(0, |used, &d| used | self.bits[cell.wrapping_add_signed(d)])
+    }
+}
+
+/// The final TPL coloring: first-fit, in insertion order, of each
+/// inserted redundant via against the pre-colored single vias and the
+/// insertions colored before it. Returns the color of each entry of
+/// `order`, `None` when all three are taken within the same-color
+/// pitch. O(1) per insertion on a [`ColorGrid`].
+fn color_insertions(
+    problem: &DviProblem,
+    via_colors: &[Option<u8>],
+    order: &[u32],
+) -> Vec<Option<u8>> {
+    let mut grid = ColorGrid::new(
+        problem.via_layer_bound(),
+        problem.grid_width(),
+        problem.grid_height(),
+    );
+    for (pv, &col) in problem.vias().iter().zip(via_colors) {
+        if let Some(col) = col {
+            grid.mark(pv.via.below, pv.via.x, pv.via.y, col);
+        }
+    }
+    order
+        .iter()
+        .map(|&c| {
+            let cand = &problem.candidates()[c as usize];
+            let (layer, (x, y)) = (cand.via_layer, cand.loc);
+            let free = !grid.used_around(layer, x, y) & 0b111;
+            (free != 0).then(|| {
+                let col = free.trailing_zeros() as u8;
+                grid.mark(layer, x, y, col);
+                col
+            })
+        })
+        .collect()
+}
+
 /// Runs Algorithm 3 on a DVI problem.
 ///
-/// Complexity is `O(n log n)` in the number of feasible candidates
-/// (each lazy re-push strictly increases a penalty bounded by local
-/// counts).
+/// Complexity is `O(n log n)` in the number `n` of feasible
+/// candidates, plus `O(width × height)` per via layer for the FVP
+/// indexes and the coloring grid. Every penalty term, validity check
+/// and final color looks at a bounded neighborhood of the candidate,
+/// and a popped entry is re-pushed only when an insertion inside that
+/// neighborhood has changed its penalty, which happens a bounded
+/// number of times per candidate.
 ///
 /// ```
 /// use sadp_grid::{Axis, Net, NetId, Netlist, Pin, RoutedNet, RoutingGrid,
@@ -301,6 +383,21 @@ pub(crate) fn observe_dvi(
 }
 
 fn solve_with(problem: &DviProblem, params: &DviParams, swap_passes: usize) -> DviOutcome {
+    solve_colored(problem, params, swap_passes, color_insertions)
+}
+
+/// A final-coloring step: the color of each inserted candidate of
+/// `order` given the pre-coloring, as [`color_insertions`] returns it.
+type ColorStep = fn(&DviProblem, &[Option<u8>], &[u32]) -> Vec<Option<u8>>;
+
+/// Algorithm 3 and the 1-swap passes, then `color` for the final
+/// coloring (the tests pass the reference scan here).
+fn solve_colored(
+    problem: &DviProblem,
+    params: &DviParams,
+    swap_passes: usize,
+    color: ColorStep,
+) -> DviOutcome {
     let start = Instant::now();
     let (via_colors, uncolorable) = precolor(problem);
     let mut state = HeurState::new(problem, *params);
@@ -332,33 +429,13 @@ fn solve_with(problem: &DviProblem, params: &DviParams, swap_passes: usize) -> D
 
     // TPL coloring of the inserted redundant vias against the fixed
     // pre-coloring; uncolorable ones are un-inserted.
+    let colors = color(problem, &via_colors, &insertion_order);
     let mut final_inserted: Vec<u32> = Vec::new();
     let mut inserted_colors: Vec<u8> = Vec::new();
-    let mut colored_positions: Vec<(u8, i32, i32, u8)> = Vec::new();
-    for &c in &insertion_order {
-        let cand = &problem.candidates()[c as usize];
-        let mut used = [false; 3];
-        for (i, pv) in problem.vias().iter().enumerate() {
-            if pv.via.below == cand.via_layer
-                && vias_conflict(pv.via.x - cand.loc.0, pv.via.y - cand.loc.1)
-            {
-                if let Some(col) = via_colors[i] {
-                    used[col as usize] = true;
-                }
-            }
-        }
-        for &(layer, x, y, col) in &colored_positions {
-            if layer == cand.via_layer && vias_conflict(x - cand.loc.0, y - cand.loc.1) {
-                used[col as usize] = true;
-            }
-        }
-        match (0..3u8).find(|&k| !used[k as usize]) {
-            Some(col) => {
-                final_inserted.push(c);
-                inserted_colors.push(col);
-                colored_positions.push((cand.via_layer, cand.loc.0, cand.loc.1, col));
-            }
-            None => state.uninsert(c),
+    for (&c, col) in insertion_order.iter().zip(colors) {
+        if let Some(col) = col {
+            final_inserted.push(c);
+            inserted_colors.push(col);
         }
     }
 
@@ -403,17 +480,21 @@ fn one_swap_pass(
                 1 => conflict_blockers,
                 0 => {
                     // FVP-blocked: inserted redundant vias within the
-                    // classification window reach of the location.
+                    // classification window reach of the location, the
+                    // first six in candidate order.
+                    let (layer, (x, y)) = (cand.via_layer, cand.loc);
                     let mut near = Vec::new();
-                    for (i, other) in problem.candidates().iter().enumerate() {
-                        if state.inserted[i]
-                            && other.via_layer == cand.via_layer
-                            && (other.loc.0 - cand.loc.0).abs() <= 2
-                            && (other.loc.1 - cand.loc.1).abs() <= 2
-                        {
-                            near.push(i as u32);
+                    for dx in -2..=2 {
+                        for dy in -2..=2 {
+                            near.extend(
+                                state
+                                    .cand_by_loc
+                                    .at(layer, x + dx, y + dy)
+                                    .filter(|&o| state.inserted[o as usize]),
+                            );
                         }
                     }
+                    near.sort_unstable();
                     near.truncate(6);
                     near
                 }
@@ -461,10 +542,187 @@ fn one_swap_pass(
 mod tests {
     use super::*;
     use crate::ilp::{solve_ilp, IlpOptions};
+    use crate::ilp_lazy::{solve_ilp_lazy, LazyIlpOptions};
     use sadp_grid::{
         Axis, Net, NetId, Netlist, Pin, RoutedNet, RoutingGrid, RoutingSolution, SadpKind, Via,
         WireEdge,
     };
+    use tpl_decomp::vias_conflict;
+
+    /// The final coloring as a scan: each insertion reads every single
+    /// via and every insertion colored before it, O(inserted × vias).
+    /// The reference [`color_insertions`] is pinned to.
+    fn color_insertions_reference(
+        problem: &DviProblem,
+        via_colors: &[Option<u8>],
+        order: &[u32],
+    ) -> Vec<Option<u8>> {
+        let mut colored: Vec<(u8, i32, i32, u8)> = Vec::new();
+        order
+            .iter()
+            .map(|&c| {
+                let cand = &problem.candidates()[c as usize];
+                let (layer, (x, y)) = (cand.via_layer, cand.loc);
+                let mut used = [false; 3];
+                for (pv, &col) in problem.vias().iter().zip(via_colors) {
+                    if pv.via.below == layer && vias_conflict(pv.via.x - x, pv.via.y - y) {
+                        if let Some(col) = col {
+                            used[col as usize] = true;
+                        }
+                    }
+                }
+                for &(l, ox, oy, col) in &colored {
+                    if l == layer && vias_conflict(ox - x, oy - y) {
+                        used[col as usize] = true;
+                    }
+                }
+                let col = (0..3u8).find(|&k| !used[k as usize])?;
+                colored.push((layer, x, y, col));
+                Some(col)
+            })
+            .collect()
+    }
+
+    /// Both heuristics (plain and 1-swap) give the same outcome with
+    /// the grid coloring as with the reference scan, on the chain
+    /// fixtures and on routed benchmark circuits.
+    #[test]
+    fn grid_coloring_matches_scan() {
+        use benchgen::BenchSpec;
+        use sadp_router::{Router, RouterConfig};
+        let mut problems: Vec<(String, DviProblem)> =
+            [(3, 8), (4, 2), (5, 2), (6, 2), (6, 3), (8, 2)]
+                .into_iter()
+                .map(|(n, spacing)| {
+                    let p = DviProblem::build(SadpKind::Sim, &chain_solution(n, spacing));
+                    (format!("chain {n}x{spacing}"), p)
+                })
+                .collect();
+        for (name, scale) in [("ecc", 0.04), ("efc", 0.03), ("div", 0.02)] {
+            let spec = BenchSpec::paper_suite()
+                .into_iter()
+                .find(|s| s.name == name)
+                .expect("paper-suite circuit")
+                .scaled(scale);
+            for kind in [SadpKind::Sim, SadpKind::Sid] {
+                let out = Router::new(spec.grid(), spec.generate(1), RouterConfig::full(kind))
+                    .try_run(&mut sadp_trace::NoopObserver)
+                    .expect("full flow");
+                let p = DviProblem::build(kind, &out.solution);
+                assert!(!p.candidates().is_empty(), "{name} {kind:?}");
+                problems.push((format!("{name}@{scale} {kind:?}"), p));
+            }
+        }
+        let params = DviParams::default();
+        for (what, p) in &problems {
+            for swap_passes in [0, 3] {
+                let grid = solve_with(p, &params, swap_passes);
+                let scan = solve_colored(p, &params, swap_passes, color_insertions_reference);
+                let at = format!("{what}, {swap_passes} swap passes");
+                assert_eq!(grid.inserted, scan.inserted, "{at}");
+                assert_eq!(grid.inserted_colors, scan.inserted_colors, "{at}");
+                assert_eq!(grid.via_colors, scan.via_colors, "{at}");
+                assert_eq!(grid.dead_via_count, scan.dead_via_count, "{at}");
+                assert_eq!(grid.uncolorable_count, scan.uncolorable_count, "{at}");
+            }
+        }
+    }
+
+    /// The two colorings agree on orders no solver produces: every
+    /// candidate (several per location, many left without a free
+    /// color), forwards and backwards, over assorted pre-colorings.
+    #[test]
+    fn grid_coloring_matches_scan_on_arbitrary_orders() {
+        let p = DviProblem::build(SadpKind::Sim, &chain_solution(8, 2));
+        let forward: Vec<u32> = (0..p.candidates().len() as u32).collect();
+        let backward: Vec<u32> = forward.iter().rev().copied().collect();
+        for seed in 0..4 {
+            let via_colors: Vec<Option<u8>> = (0..p.via_count())
+                .map(|i| match (i * 7 + seed) % 4 {
+                    3 => None,
+                    k => Some(k as u8),
+                })
+                .collect();
+            for order in [&forward, &backward] {
+                let grid = color_insertions(&p, &via_colors, order);
+                assert!(
+                    grid.contains(&None),
+                    "seed {seed}: some insertion uncolorable"
+                );
+                assert_eq!(
+                    grid,
+                    color_insertions_reference(&p, &via_colors, order),
+                    "seed {seed}"
+                );
+            }
+        }
+    }
+
+    /// Two nets with a via at the same position: the solvers treat the
+    /// position as one decomposition-graph vertex, so both vias get
+    /// its color and every layer stays properly colored.
+    #[test]
+    fn vias_sharing_a_position_share_a_color() {
+        let mut nl = Netlist::new();
+        nl.push(Net::new("a", vec![Pin::new(4, 4), Pin::new(8, 4)]));
+        nl.push(Net::new("b", vec![Pin::new(4, 6), Pin::new(8, 6)]));
+        let mut sol = RoutingSolution::new(RoutingGrid::three_layer(16, 16), &nl);
+        let wire = |y: i32| -> Vec<WireEdge> {
+            (4..8)
+                .map(|x| WireEdge::new(1, x, y, Axis::Horizontal))
+                .collect()
+        };
+        sol.set_route(
+            NetId(0),
+            RoutedNet::new(wire(4), vec![Via::new(0, 4, 4), Via::new(0, 8, 4)]),
+        );
+        sol.set_route(
+            NetId(1),
+            RoutedNet::new(
+                wire(6),
+                vec![Via::new(0, 4, 6), Via::new(0, 8, 6), Via::new(0, 8, 4)],
+            ),
+        );
+        assert!(sol.validate().is_ok());
+        let p = DviProblem::try_build(SadpKind::Sim, &sol).expect("valid solution");
+        let shared: Vec<usize> = (0..p.via_count())
+            .filter(|&i| p.vias()[i].via == Via::new(0, 8, 4))
+            .collect();
+        assert_eq!(shared.len(), 2);
+        let outcomes = [
+            solve_heuristic(&p, &DviParams::default()),
+            solve_heuristic_improved(&p, &DviParams::default()),
+            solve_ilp_lazy(&p, &LazyIlpOptions::default()).0,
+        ];
+        for out in &outcomes {
+            let (a, b) = (out.via_colors[shared[0]], out.via_colors[shared[1]]);
+            assert!(a.is_some());
+            assert_eq!(a, b, "both vias at (0, 8, 4) get one color");
+            for layer in p.via_layers() {
+                let mut positions: Vec<((i32, i32), Option<u8>)> = Vec::new();
+                for (pv, &col) in p.vias().iter().zip(&out.via_colors) {
+                    if pv.via.below == layer {
+                        positions.push(((pv.via.x, pv.via.y), col));
+                    }
+                }
+                for (&c, &col) in out.inserted.iter().zip(&out.inserted_colors) {
+                    let cand = &p.candidates()[c as usize];
+                    if cand.via_layer == layer {
+                        positions.push((cand.loc, Some(col)));
+                    }
+                }
+                let graph = DecompGraph::from_positions(positions.iter().map(|&(q, _)| q));
+                let mut colors = vec![None; graph.len()];
+                for &(q, col) in &positions {
+                    colors[graph.vertex_at(q).expect("indexed position") as usize] = col;
+                }
+                assert!(
+                    graph.coloring_conflicts(&colors).is_empty(),
+                    "layer {layer}"
+                );
+            }
+        }
+    }
 
     fn chain_solution(n: i32, spacing: i32) -> RoutingSolution {
         let mut nl = Netlist::new();

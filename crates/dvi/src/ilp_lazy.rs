@@ -237,16 +237,24 @@ fn find_violations(
             continue; // fix FVPs first; coloring may change anyway
         }
 
-        // Coloring check on the combined graph.
-        let positions: Vec<(i32, i32)> = existing
-            .iter()
-            .map(|&(_, p)| p)
-            .chain(ins.iter().map(|&(_, p)| p))
-            .collect();
-        let graph = DecompGraph::from_positions(positions.iter().copied());
+        // Coloring check on the combined graph. Vias at one position
+        // share a vertex, so vertex ids are not slots of `existing`.
+        let graph = DecompGraph::from_positions(
+            existing
+                .iter()
+                .map(|&(_, p)| p)
+                .chain(ins.iter().map(|&(_, p)| p)),
+        );
         let greedy = welsh_powell(&graph, 3);
         if greedy.is_complete() {
             continue;
+        }
+        // The inserted candidate at each vertex, if any.
+        let mut inserted_at: Vec<Option<u32>> = vec![None; graph.len()];
+        for &(c, p) in &ins {
+            if let Some(v) = graph.vertex_at(p) {
+                inserted_at[v as usize] = Some(c);
+            }
         }
         let uncol: std::collections::HashSet<u32> = greedy.uncolorable.iter().copied().collect();
         for comp in graph.components() {
@@ -263,14 +271,18 @@ fn find_violations(
             // Truly (or assumed) uncolorable component.
             let members: Vec<u32> = comp
                 .iter()
-                .filter(|&&v| (v as usize) >= existing.len())
-                .map(|&v| ins[v as usize - existing.len()].0)
+                .filter_map(|&v| inserted_at[v as usize])
                 .collect();
             if members.is_empty() {
                 // Pre-existing defect: count the component's vias as
                 // uncolorable and stop checking them.
-                for &v in &comp {
-                    dead_existing.insert(existing[v as usize].0);
+                for &(i, p) in &existing {
+                    if graph
+                        .vertex_at(p)
+                        .is_some_and(|v| comp.binary_search(&v).is_ok())
+                    {
+                        dead_existing.insert(i);
+                    }
                 }
             } else {
                 cuts.push(members);
@@ -319,15 +331,17 @@ fn decode(
             Some(c) => c,
             None => welsh_powell(&graph, 3).colors,
         };
-        for (slot, &i) in existing.iter().enumerate() {
-            via_colors[i] = coloring.get(slot).copied().flatten();
+        // Vias at one position share a vertex, and so its color.
+        let color_at = |p: (i32, i32)| {
+            graph
+                .vertex_at(p)
+                .and_then(|v| coloring.get(v as usize).copied().flatten())
+        };
+        for (&i, &p) in existing.iter().zip(&positions) {
+            via_colors[i] = color_at(p);
         }
-        for (off, &k) in ins.iter().enumerate() {
-            inserted_colors[k] = coloring
-                .get(existing.len() + off)
-                .copied()
-                .flatten()
-                .unwrap_or(0);
+        for (&k, &p) in ins.iter().zip(&positions[existing.len()..]) {
+            inserted_colors[k] = color_at(p).unwrap_or(0);
         }
     }
     DviOutcome {

@@ -9,14 +9,48 @@
 //! 3. four vias → FVP unless two occupy diagonally opposite corners;
 //! 4. three or fewer vias → never an FVP.
 //!
-//! [`window_is_fvp`] implements these rules;
+//! The rules read a window as a 9-bit occupancy mask: a population
+//! count plus two corner tests, with no allocation. [`FvpIndex`] reads
+//! its masks straight out of its via bitset; [`window_is_fvp`] builds
+//! one from window-relative positions.
 //! [`window_is_3colorable_bruteforce`] is the exhaustive reference the
-//! test suite proves them equivalent to (all 512 window patterns).
+//! test suite proves the rules equivalent to (all 512 window masks).
 
 use crate::conflict::vias_conflict;
 
 /// Side length of the classification window (3×3 grid points).
 pub const WINDOW: i32 = 3;
+
+/// The bit of window-relative position `(dx, dy)` in a window mask:
+/// x-major, bit `3·dx + dy`, the same order as the index's cells.
+#[inline]
+const fn mask_bit(dx: i32, dy: i32) -> u16 {
+    1 << (dx * WINDOW + dy)
+}
+
+/// The four corner bits of a window mask.
+const CORNERS: u16 = DIAGONAL | ANTI_DIAGONAL;
+/// Corners `(0, 0)` and `(2, 2)`.
+const DIAGONAL: u16 = mask_bit(0, 0) | mask_bit(2, 2);
+/// Corners `(2, 0)` and `(0, 2)`.
+const ANTI_DIAGONAL: u16 = mask_bit(2, 0) | mask_bit(0, 2);
+
+/// The §II-D rules on a 9-bit window mask (bit [`mask_bit`]`(dx, dy)`
+/// set when a via occupies `(dx, dy)`): `true` when the pattern is an
+/// FVP. This is the one classifier behind [`window_is_fvp`] and
+/// [`FvpIndex`].
+#[inline]
+fn mask_is_fvp(mask: u16) -> bool {
+    match mask.count_ones() {
+        0..=3 => false,
+        // Colorable iff some diagonally opposite corner pair is
+        // occupied.
+        4 => mask & DIAGONAL != DIAGONAL && mask & ANTI_DIAGONAL != ANTI_DIAGONAL,
+        // Colorable iff all four corners are occupied.
+        5 => mask & CORNERS != CORNERS,
+        _ => true,
+    }
+}
 
 /// Classifies a via pattern inside a 3×3 window.
 ///
@@ -26,7 +60,7 @@ pub const WINDOW: i32 = 3;
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) if a position lies outside the window.
+/// Panics if a position lies outside the window.
 ///
 /// ```
 /// use tpl_decomp::window_is_fvp;
@@ -36,30 +70,15 @@ pub const WINDOW: i32 = 3;
 /// assert!(window_is_fvp(&[(0, 0), (1, 0), (0, 1), (1, 1)]));
 /// ```
 pub fn window_is_fvp(vias: &[(i32, i32)]) -> bool {
-    let mut set = [[false; 3]; 3];
-    let mut n = 0usize;
+    let mut mask = 0u16;
     for &(x, y) in vias {
-        debug_assert!((0..WINDOW).contains(&x) && (0..WINDOW).contains(&y));
-        if !set[x as usize][y as usize] {
-            set[x as usize][y as usize] = true;
-            n += 1;
-        }
+        assert!(
+            (0..WINDOW).contains(&x) && (0..WINDOW).contains(&y),
+            "({x}, {y}) lies outside the {WINDOW}x{WINDOW} window"
+        );
+        mask |= mask_bit(x, y);
     }
-    match n {
-        0..=3 => false,
-        4 => {
-            // Colorable iff some diagonally opposite corner pair is
-            // occupied.
-            let diag_a = set[0][0] && set[2][2];
-            let diag_b = set[2][0] && set[0][2];
-            !(diag_a || diag_b)
-        }
-        5 => {
-            // Colorable iff all four corners are occupied.
-            !(set[0][0] && set[2][0] && set[0][2] && set[2][2])
-        }
-        _ => true,
-    }
+    mask_is_fvp(mask)
 }
 
 /// Exhaustive 3-coloring of the window conflict graph — the reference
@@ -131,6 +150,19 @@ impl BitGrid {
         let was_set = *w & m != 0;
         *w &= !m;
         was_set
+    }
+
+    /// Bits `i..i + 3` as the low bits of a `u16`. All three must be
+    /// in range.
+    #[inline]
+    fn get3(&self, i: usize) -> u16 {
+        let (w, b) = (i >> 6, i & 63);
+        let mut bits = self.words[w] >> b;
+        if b > 61 {
+            // The run straddles a word boundary.
+            bits |= self.words[w + 1] << (64 - b);
+        }
+        (bits & 7) as u16
     }
 
     /// Iterates over set bit indices in ascending order.
@@ -279,23 +311,18 @@ impl FvpIndex {
         self.fvp.get(self.cell(ox, oy))
     }
 
-    /// The window-relative via pattern of window `(ox, oy)`.
-    fn window_pattern(&self, ox: i32, oy: i32) -> Vec<(i32, i32)> {
-        let mut out = Vec::with_capacity(9);
-        for dx in 0..WINDOW {
-            for dy in 0..WINDOW {
-                if self.vias.get(self.cell(ox + dx, oy + dy)) {
-                    out.push((dx, dy));
-                }
-            }
-        }
-        out
+    /// The via mask of window `(ox, oy)`: the window's three columns
+    /// are three 3-bit runs of the x-major via bitset.
+    #[inline]
+    fn window_mask(&self, ox: i32, oy: i32) -> u16 {
+        let col = self.cell(ox, oy);
+        let h = self.height as usize;
+        self.vias.get3(col) | self.vias.get3(col + h) << 3 | self.vias.get3(col + 2 * h) << 6
     }
 
     fn refresh_window(&mut self, ox: i32, oy: i32) {
         let cell = self.cell(ox, oy);
-        let pat = self.window_pattern(ox, oy);
-        if window_is_fvp(&pat) {
+        if mask_is_fvp(self.window_mask(ox, oy)) {
             if self.fvp.set(cell) {
                 self.fvp_count += 1;
             }
@@ -366,14 +393,8 @@ impl FvpIndex {
             return windows_touching(self.width, self.height, x, y)
                 .any(|(ox, oy)| self.fvp.get(self.cell(ox, oy)));
         }
-        for (ox, oy) in windows_touching(self.width, self.height, x, y) {
-            let mut pat = self.window_pattern(ox, oy);
-            pat.push((x - ox, y - oy));
-            if window_is_fvp(&pat) {
-                return true;
-            }
-        }
-        false
+        windows_touching(self.width, self.height, x, y)
+            .any(|(ox, oy)| mask_is_fvp(self.window_mask(ox, oy) | mask_bit(x - ox, y - oy)))
     }
 }
 
@@ -381,23 +402,20 @@ impl FvpIndex {
 mod tests {
     use super::*;
 
-    /// The rule-based classifier agrees with exhaustive 3-coloring on
-    /// all 512 possible window patterns — the rules of §II-D are
-    /// exactly 3-colorability under the conflict model.
+    /// The mask classifier agrees with exhaustive 3-coloring on all
+    /// 512 possible window masks — the rules of §II-D are exactly
+    /// 3-colorability under the conflict model — and `window_is_fvp`
+    /// builds the mask of the positions it is given.
     #[test]
     fn rules_equal_bruteforce_on_all_patterns() {
-        for mask in 0u32..512 {
-            let mut vias = Vec::new();
-            for bit in 0..9 {
-                if mask & (1 << bit) != 0 {
-                    vias.push((bit % 3, bit / 3));
-                }
-            }
-            assert_eq!(
-                window_is_fvp(&vias),
-                !window_is_3colorable_bruteforce(&vias),
-                "pattern {mask:#b} misclassified"
-            );
+        for mask in 0u16..512 {
+            let vias: Vec<(i32, i32)> = (0..WINDOW)
+                .flat_map(|dx| (0..WINDOW).map(move |dy| (dx, dy)))
+                .filter(|&(dx, dy)| mask & mask_bit(dx, dy) != 0)
+                .collect();
+            let colorable = window_is_3colorable_bruteforce(&vias);
+            assert_eq!(mask_is_fvp(mask), !colorable, "mask {mask:#011b}");
+            assert_eq!(window_is_fvp(&vias), !colorable, "mask {mask:#011b}");
         }
     }
 

@@ -22,12 +22,15 @@ use crate::conflict::conflict_offsets;
 #[derive(Debug, Clone, Default)]
 pub struct DecompGraph {
     positions: Vec<(i32, i32)>,
+    /// The vertex of each distinct position.
+    index: HashMap<(i32, i32), u32>,
     adjacency: Vec<Vec<u32>>,
 }
 
 impl DecompGraph {
     /// Builds the graph from via positions. Duplicate positions are
-    /// collapsed into one vertex.
+    /// collapsed into one vertex, so vertex ids are not input slots:
+    /// map a position to its vertex with [`DecompGraph::vertex_at`].
     pub fn from_positions<I>(positions: I) -> DecompGraph
     where
         I: IntoIterator<Item = (i32, i32)>,
@@ -51,8 +54,22 @@ impl DecompGraph {
         }
         DecompGraph {
             positions: pos,
+            index,
             adjacency,
         }
+    }
+
+    /// The vertex at position `p`, if the graph has one there.
+    ///
+    /// ```
+    /// use tpl_decomp::DecompGraph;
+    /// let g = DecompGraph::from_positions([(0, 0), (3, 0), (0, 0)]);
+    /// assert_eq!(g.vertex_at((0, 0)), Some(0));
+    /// assert_eq!(g.vertex_at((3, 0)), Some(1));
+    /// assert_eq!(g.vertex_at((1, 1)), None);
+    /// ```
+    pub fn vertex_at(&self, p: (i32, i32)) -> Option<u32> {
+        self.index.get(&p).copied()
     }
 
     /// Number of vertices.
@@ -154,6 +171,7 @@ mod tests {
     fn duplicates_collapse() {
         let g = DecompGraph::from_positions([(0, 0), (0, 0), (1, 0)]);
         assert_eq!(g.len(), 2);
+        assert_eq!(g.vertex_at((1, 0)), Some(1));
     }
 
     #[test]

@@ -1,7 +1,23 @@
 //! Property-based tests of the TPL machinery.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
-use tpl_decomp::{exact_color, vias_conflict, welsh_powell, window_is_fvp, DecompGraph, FvpIndex};
+use tpl_decomp::{
+    exact_color, vias_conflict, welsh_powell, window_is_3colorable_bruteforce, DecompGraph,
+    FvpIndex,
+};
+
+/// Side of the grid the index properties run on.
+const N: i32 = 10;
+
+/// The window-relative positions of `vias` inside window `(ox, oy)`.
+fn window(vias: &BTreeSet<(i32, i32)>, ox: i32, oy: i32) -> Vec<(i32, i32)> {
+    vias.iter()
+        .filter(|&&(x, y)| (ox..ox + 3).contains(&x) && (oy..oy + 3).contains(&y))
+        .map(|&(x, y)| (x - ox, y - oy))
+        .collect()
+}
 
 proptest! {
     /// The incremental index predicts exactly what add_via produces.
@@ -52,23 +68,41 @@ proptest! {
         }
     }
 
-    /// FVP windows of an index always correspond to actual uncolorable
-    /// window patterns.
+    /// Under random add/remove sequences the index's FVP windows are
+    /// exactly the windows exhaustive 3-coloring rejects, and
+    /// `would_create_fvp` at every cell gives the brute-force answer:
+    /// some window containing the cell is (or, with the cell added,
+    /// would be) not 3-colorable. Both sides are checked against the
+    /// exhaustive colorer, not the rule-based classifier.
     #[test]
-    fn fvp_windows_are_real(
-        pts in proptest::collection::vec((0i32..10, 0i32..10), 1..30)
+    fn index_matches_bruteforce_under_edits(
+        ops in proptest::collection::vec((0u8..3, 0i32..N, 0i32..N), 1..60)
     ) {
-        let mut idx = FvpIndex::new(10, 10);
-        for (x, y) in &pts {
-            idx.add_via(*x, *y);
+        let mut idx = FvpIndex::new(N, N);
+        let mut vias = BTreeSet::new();
+        for (op, x, y) in ops {
+            // One edit in three is a removal.
+            if op == 0 {
+                prop_assert_eq!(idx.remove_via(x, y), vias.remove(&(x, y)));
+            } else {
+                prop_assert_eq!(idx.add_via(x, y), vias.insert((x, y)));
+            }
         }
-        for (ox, oy) in idx.fvp_windows() {
-            let vias: Vec<(i32, i32)> = idx
-                .vias()
-                .filter(|(x, y)| (ox..ox + 3).contains(x) && (oy..oy + 3).contains(y))
-                .map(|(x, y)| (x - ox, y - oy))
-                .collect();
-            prop_assert!(window_is_fvp(&vias));
+        let origins = || (0..=N - 3).flat_map(|ox| (0..=N - 3).map(move |oy| (ox, oy)));
+        let expected: Vec<(i32, i32)> = origins()
+            .filter(|&(ox, oy)| !window_is_3colorable_bruteforce(&window(&vias, ox, oy)))
+            .collect();
+        prop_assert_eq!(idx.fvp_windows(), expected.clone());
+        prop_assert_eq!(idx.fvp_window_count(), expected.len());
+        for x in 0..N {
+            for y in 0..N {
+                let mut with = vias.clone();
+                with.insert((x, y));
+                let brute = origins()
+                    .filter(|&(ox, oy)| (ox..ox + 3).contains(&x) && (oy..oy + 3).contains(&y))
+                    .any(|(ox, oy)| !window_is_3colorable_bruteforce(&window(&with, ox, oy)));
+                prop_assert_eq!(idx.would_create_fvp(x, y), brute, "at ({}, {})", x, y);
+            }
         }
     }
 
