@@ -9,17 +9,17 @@
 //! ```text
 //! cargo run --release -p bench-suite --bin bench_costs \
 //!     [-- --scale f --seed n --reps k --circuits a,b --out path
-//!      --baseline BENCH_costs.json --tolerance 3.0]
+//!      --baseline BENCH_costs.json]
 //! ```
 //!
 //! With `--baseline`, the run compares each circuit's *speedup*
 //! against the named report and exits non-zero when any circuit's
-//! speedup dropped by more than `--tolerance` percent, or when the
-//! geomean speedup falls below the 3x floor — the CI gate that keeps
-//! the occupancy index O(1) in practice, not just on paper. The gate
-//! works on speedups rather than raw ns/op because both
-//! implementations run interleaved on the same host, so load and
-//! thermal drift cancel out of the ratio.
+//! speedup dropped by more than [`GATE`]'s 30%, or when the geomean
+//! speedup falls below [`FLOOR`]'s 3x — the CI gate that keeps the
+//! occupancy index O(1) in practice, not just on paper. The gate works
+//! on speedups rather than raw ns/op because both implementations run
+//! interleaved on the same host, so load and thermal drift cancel out
+//! of the ratio.
 //!
 //! Both implementations answer the exact same query sequence over the
 //! same routed solution, so the ns/op figures divide out to an honest
@@ -28,11 +28,22 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use benchgen::BenchSpec;
+use bench_suite::harness::select_suite;
+use bench_suite::ledger::{self, fixed, Bound, Flags, Gate, Verdict};
 use dvi::candidates::reference;
 use dvi::{feasible_candidate, LayoutView};
 use sadp_grid::{Dir, NetId, RoutedNet, RoutingSolution, SadpKind};
 use sadp_router::{Router, RouterConfig};
+use sadp_trace::json::Value;
+
+/// Each circuit's dense-vs-reference speedup may fall at most 30%
+/// below the baseline.
+const GATE: Gate = ("speedup", Bound::Fall(0.3));
+
+/// The dense index must beat the reference by at least this geomean
+/// factor whenever the baseline gate runs — the headline invariant,
+/// enforced independently of the committed baseline numbers.
+const FLOOR: Gate = ("geomean_speedup", Bound::AtLeast(3.0));
 
 struct PassRun {
     total_ns: u128,
@@ -102,67 +113,21 @@ fn run_reference(solution: &RoutingSolution, routes: &[(NetId, RoutedNet)]) -> P
     )
 }
 
-fn parse_or_die<T: std::str::FromStr>(val: &str, flag: &str, what: &str) -> T {
-    val.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} takes {what}, got {val:?}");
-        std::process::exit(2);
-    })
-}
-
 fn main() {
-    let mut scale = 0.1f64;
-    let mut seed = 1u64;
-    let mut reps = 5usize;
-    let mut circuits: Vec<String> = ["ecc", "efc", "ctl", "alu"].map(String::from).to_vec();
-    let mut out = String::from("BENCH_costs.json");
-    let mut baseline: Option<String> = None;
-    let mut tolerance = 3.0f64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("missing value for {}", args[i]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--scale" => scale = parse_or_die(need(i), "--scale", "a float"),
-            "--seed" => seed = parse_or_die(need(i), "--seed", "an integer"),
-            "--reps" => reps = parse_or_die(need(i), "--reps", "an integer"),
-            "--circuits" => circuits = need(i).split(',').map(|s| s.trim().to_string()).collect(),
-            "--out" => out = need(i).clone(),
-            "--baseline" => baseline = Some(need(i).clone()),
-            "--tolerance" => tolerance = parse_or_die(need(i), "--tolerance", "a percentage"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: [--scale f] [--seed n] [--reps k] [--circuits a,b,...] [--out path] \
-                     [--baseline path] [--tolerance pct]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other} (try --help)");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
+    let (flags, seed, out, baseline) = Flags::bench(
+        &[("--scale", "f"), ("--reps", "k"), ("--circuits", "a,b,...")],
+        "BENCH_costs.json",
+    );
+    let scale = flags.get("--scale", 0.1f64);
+    let reps = flags.get("--reps", 5usize);
+    let circuits = flags.list("--circuits", &["ecc", "efc", "ctl", "alu"]);
 
-    let suite: Vec<BenchSpec> = BenchSpec::paper_suite()
-        .into_iter()
-        .filter(|s| circuits.iter().any(|n| n == s.name))
-        .map(|s| s.scaled(scale))
-        .collect();
-    if suite.is_empty() {
-        eprintln!("no circuits matched {:?} (try --help)", circuits.join(","));
-        std::process::exit(2);
-    }
+    let suite = select_suite(&circuits, scale);
 
     // One task per circuit; both implementations stay interleaved
     // within a task so contention hits both sides of each ratio
     // equally.
-    let per_spec: Vec<(String, f64, String)> = sadp_exec::map(&suite, |spec| {
+    let per_spec: Vec<(Value, f64, String)> = sadp_exec::map(&suite, |spec| {
         let netlist = spec.generate(seed);
         let outcome = Router::new(spec.grid(), netlist, RouterConfig::full(SadpKind::Sim))
             .try_run(&mut sadp_trace::NoopObserver)
@@ -205,20 +170,16 @@ fn main() {
             dense.ns_per_op(),
             speedup
         );
-        let row = format!(
-            "    {{\"name\": \"{}\", \"nets\": {}, \"vias\": {}, \"grid\": [{}, {}], \
-             \"ops\": {}, \"reference_ns_per_op\": {:.1}, \"dense_ns_per_op\": {:.1}, \
-             \"speedup\": {:.3}}}",
-            spec.name,
-            routes.len(),
-            via_count,
-            spec.width,
-            spec.height,
-            dense.ops,
-            refr.ns_per_op(),
-            dense.ns_per_op(),
-            speedup
-        );
+        let row = Value::obj([
+            ("name", Value::from(spec.name)),
+            ("nets", Value::from(routes.len())),
+            ("vias", Value::from(via_count)),
+            ("grid", Value::from(vec![spec.width, spec.height])),
+            ("ops", Value::from(dense.ops)),
+            ("reference_ns_per_op", fixed(refr.ns_per_op(), 1)),
+            ("dense_ns_per_op", fixed(dense.ns_per_op(), 1)),
+            ("speedup", fixed(speedup, 3)),
+        ]);
         (row, speedup, log)
     });
     let mut rows = Vec::new();
@@ -229,62 +190,24 @@ fn main() {
         rows.push(row);
     }
     let geomean = (log_speedup_sum / suite.len() as f64).exp();
-    let json = format!(
-        "{{\n  \"bench\": \"occupancy-costs\",\n  \"seed\": {seed},\n  \"scale\": {scale},\n  \
-         \"reps\": {reps},\n  \"workloads\": [\n{}\n  ],\n  \"geomean_speedup\": {geomean:.3}\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write(&out, &json).expect("write benchmark json");
+    let fields = vec![
+        ("scale", Value::from(scale)),
+        ("reps", Value::from(reps)),
+        ("workloads", Value::Arr(rows)),
+        ("geomean_speedup", fixed(geomean, 3)),
+    ];
+    let doc = ledger::write(&out, "occupancy-costs", seed, fields);
     println!("geomean speedup: {geomean:.2}x -> {out}");
 
     // The gate compares *speedups*, not absolute ns/op: both sides of
     // each ratio run interleaved on the same host, so machine load and
     // thermal drift divide out where raw nanoseconds would not.
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let mut failures = 0usize;
-        for spec in &suite {
-            let Some(base) = circuit_speedup(&text, spec.name) else {
-                eprintln!("  baseline {path} has no entry for {}; skipping", spec.name);
-                continue;
-            };
-            let now = circuit_speedup(&json, spec.name).expect("own report has the circuit");
-            let delta = (now - base) / base * 100.0;
-            let verdict = if delta < -tolerance { "FAIL" } else { "ok" };
-            eprintln!(
-                "  baseline check {}: {now:.2}x vs {base:.2}x baseline ({delta:+.1}%) {verdict}",
-                spec.name
-            );
-            if delta < -tolerance {
-                failures += 1;
-            }
-        }
-        if geomean < MIN_GEOMEAN_SPEEDUP {
-            eprintln!("geomean speedup {geomean:.2}x is below the {MIN_GEOMEAN_SPEEDUP:.1}x floor");
-            failures += 1;
-        }
-        if failures > 0 {
-            eprintln!("{failures} check(s) regressed more than {tolerance}% vs {path}");
-            std::process::exit(1);
-        }
-        println!("baseline check passed: all speedups within {tolerance}% of {path}");
+    let mut verdict = Verdict::new(baseline.as_ref());
+    for spec in &suite {
+        verdict.gate(&doc, Some(spec.name), &GATE);
     }
-}
-
-/// The dense index must beat the reference by at least this geomean
-/// factor whenever the baseline gate runs — the headline invariant,
-/// enforced independently of the committed baseline numbers.
-const MIN_GEOMEAN_SPEEDUP: f64 = 3.0;
-
-/// Pulls `"speedup"` for one circuit out of a `BENCH_costs.json`
-/// document (string scan — the workspace has no JSON parser
-/// dependency).
-fn circuit_speedup(json: &str, name: &str) -> Option<f64> {
-    let at = json.find(&format!("\"name\": \"{name}\""))?;
-    let rest = &json[at..];
-    let key = "\"speedup\": ";
-    let v = &rest[rest.find(key)? + key.len()..];
-    let end = v.find([',', '}'])?;
-    v[..end].trim().parse().ok()
+    if verdict.gating() {
+        verdict.gate(&doc, None, &FLOOR);
+    }
+    verdict.finish();
 }

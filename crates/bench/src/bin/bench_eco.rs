@@ -7,62 +7,44 @@
 //! ```text
 //! cargo run --release -p bench-suite --bin bench_eco \
 //!     [-- --rungs small|medium|full --seed n --reps k --out path
-//!      --baseline BENCH_eco.json --tolerance 40 --min-speedup 5]
+//!      --baseline BENCH_eco.json]
 //! ```
 //!
-//! `--min-speedup` gates the geomean of the 1-net-delta rows — the
-//! headline claim that editing one net must not cost a full reroute.
-//! `--baseline` additionally compares every row's speedup against a
-//! committed report at `--tolerance` percent slack (speedups are
-//! ratios of two same-host measurements, so they travel better across
-//! machines than absolute times, but still breathe with load).
+//! With `--baseline`, [`FLOOR`] gates the geomean of the 1-net-delta
+//! rows at 5x — the headline claim that editing one net must not cost
+//! a full reroute — and [`GATE`] compares every row's speedup against
+//! the committed report with 40% slack (speedups are ratios of two
+//! same-host measurements, so they travel better across machines than
+//! absolute times, but still breathe with load).
 
 use std::collections::HashSet;
 use std::time::Instant;
 
+use bench_suite::harness::ladder;
+use bench_suite::ledger::{self, fixed, Bound, Flags, Gate, Verdict};
 use benchgen::BenchSpec;
 use sadp_grid::{LayoutDelta, NetId, Netlist, Pin, RoutingGrid, SadpKind};
 use sadp_router::{eco, RouterConfig, RoutingSession};
+use sadp_trace::json::Value;
 use sadp_trace::NoopObserver;
 
-/// One sweep rung: display name + fully resolved spec.
-struct Rung {
-    name: &'static str,
-    spec: BenchSpec,
-}
+/// Each row's warm-vs-cold speedup may fall at most 40% below the
+/// baseline.
+const GATE: Gate = ("speedup", Bound::Fall(0.4));
 
-/// The sweep ladder. `level` 0 = small (PR-fast), 1 = medium (the
-/// committed baseline), 2 = full (nightly).
-fn ladder(level: u8) -> Vec<Rung> {
-    let ecc = BenchSpec::by_name("ecc").expect("paper suite has ecc");
-    let mut rungs = vec![
-        Rung {
-            name: "ecc-0.25",
-            spec: ecc.scaled(0.25),
-        },
-        Rung {
-            name: "ecc-1.0",
-            spec: ecc,
-        },
-    ];
-    if level >= 1 {
-        rungs.push(Rung {
-            name: "alu-1.0",
-            spec: BenchSpec::by_name("alu").expect("paper suite has alu"),
-        });
-        rungs.push(Rung {
-            name: "div-1.0",
-            spec: BenchSpec::by_name("div").expect("paper suite has div"),
-        });
-    }
-    if level >= 2 {
-        rungs.push(Rung {
-            name: "top-1.0",
-            spec: BenchSpec::by_name("top").expect("paper suite has top"),
-        });
-    }
-    rungs
-}
+/// The geomean warm-vs-cold speedup of 1-net deltas (row
+/// `geomean/d1`) must stay at 5x or more.
+const FLOOR: Gate = ("speedup", Bound::AtLeast(5.0));
+
+/// The sweep ladder with the level (0 small = PR-fast, 1 medium = the
+/// committed baseline, 2 full = nightly) that adds each rung.
+const RUNGS: [(&str, u8); 5] = [
+    ("ecc-0.25", 0),
+    ("ecc-1.0", 0),
+    ("alu-1.0", 1),
+    ("div-1.0", 1),
+    ("top-1.0", 2),
+];
 
 const DELTA_SIZES: [usize; 3] = [1, 8, 64];
 
@@ -113,26 +95,12 @@ fn make_delta(grid: &RoutingGrid, nl: &Netlist, k: usize) -> LayoutDelta {
     d
 }
 
-struct Row {
-    name: String,
-    nets: usize,
-    delta_nets: usize,
-    victims: usize,
-    warm_ms: f64,
-    cold_ms: f64,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.cold_ms / self.warm_ms.max(1e-6)
-    }
-}
-
-/// Measures one (rung, delta size) cell: best-of-`reps` warm and cold
-/// wall clocks over identical edits.
-fn run_cell(rung: &Rung, k: usize, seed: u64, reps: usize) -> Row {
-    let grid = rung.spec.grid();
-    let nl = rung.spec.generate(seed);
+/// Measures one (rung, delta size) cell, named `name`: best-of-`reps`
+/// warm and cold wall clocks over identical edits. Returns the result
+/// row and its warm-vs-cold speedup.
+fn run_cell(name: &str, spec: &BenchSpec, k: usize, seed: u64, reps: usize) -> (Value, f64) {
+    let grid = spec.grid();
+    let nl = spec.generate(seed);
     let delta = make_delta(&grid, &nl, k);
     let mut edited = nl.clone();
     delta.apply_to_netlist(&mut edited);
@@ -150,8 +118,7 @@ fn run_cell(rung: &Rung, k: usize, seed: u64, reps: usize) -> Row {
             RoutingSession::try_new(&grid, &nl, config).expect("paper circuits are valid");
         assert!(
             base.ensure_colorable(&mut obs),
-            "{}: base must converge",
-            rung.name
+            "{name}: base must converge"
         );
         victims = eco::analyze(base.state(), &nl, &delta).victims.len();
         let t0 = Instant::now();
@@ -161,8 +128,7 @@ fn run_cell(rung: &Rung, k: usize, seed: u64, reps: usize) -> Row {
         warm_best = warm_best.min(t0.elapsed().as_secs_f64() * 1e3);
         assert!(
             warm_out.routed_all,
-            "{}: warm run must route all after a {k}-net delta",
-            rung.name
+            "{name}: warm run must route all after a {k}-net delta"
         );
 
         // Cold: route the edited layout from scratch.
@@ -170,204 +136,71 @@ fn run_cell(rung: &Rung, k: usize, seed: u64, reps: usize) -> Row {
         let cold = RoutingSession::try_new(&grid, &edited, config).expect("edited layout is valid");
         let cold_out = cold.try_finish(&mut obs).expect("cold finish");
         cold_best = cold_best.min(t0.elapsed().as_secs_f64() * 1e3);
-        assert!(
-            cold_out.routed_all,
-            "{}: cold run must route all",
-            rung.name
-        );
+        assert!(cold_out.routed_all, "{name}: cold run must route all");
     }
 
-    Row {
-        name: format!("{}/d{k}", rung.name),
-        nets: nl.len(),
-        delta_nets: k,
-        victims,
-        warm_ms: warm_best,
-        cold_ms: cold_best,
-    }
-}
-
-fn geomean(values: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = values.fold((0.0f64, 0usize), |(s, n), v| (s + v.ln(), n + 1));
-    if n == 0 {
-        0.0
-    } else {
-        (sum / n as f64).exp()
-    }
-}
-
-fn parse_or_die<T: std::str::FromStr>(val: &str, flag: &str, what: &str) -> T {
-    val.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} takes {what}, got {val:?}");
-        std::process::exit(2);
-    })
+    let speedup = cold_best / warm_best.max(1e-6);
+    eprintln!(
+        "  {name}: {} nets, {victims} victims, warm {warm_best:.1} ms vs cold {cold_best:.1} ms \
+         ({speedup:.1}x)",
+        nl.len()
+    );
+    let row = Value::obj([
+        ("name", Value::from(name)),
+        ("nets", Value::from(nl.len())),
+        ("delta_nets", Value::from(k)),
+        ("victims", Value::from(victims)),
+        ("warm_ms", fixed(warm_best, 2)),
+        ("cold_ms", fixed(cold_best, 2)),
+        ("speedup", fixed(speedup, 2)),
+    ]);
+    (row, speedup)
 }
 
 fn main() {
-    let mut level = 1u8;
-    let mut seed = 1u64;
-    let mut reps = 2usize;
-    let mut out = String::from("BENCH_eco.json");
-    let mut baseline: Option<String> = None;
-    let mut tolerance = 40.0f64;
-    let mut min_speedup = 0.0f64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("missing value for {}", args[i]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--rungs" => {
-                level = match need(i).as_str() {
-                    "small" => 0,
-                    "medium" => 1,
-                    "full" => 2,
-                    other => {
-                        eprintln!("--rungs takes small|medium|full, got {other:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--seed" => seed = parse_or_die(need(i), "--seed", "an integer"),
-            "--reps" => reps = parse_or_die(need(i), "--reps", "an integer"),
-            "--out" => out = need(i).clone(),
-            "--baseline" => baseline = Some(need(i).clone()),
-            "--tolerance" => tolerance = parse_or_die(need(i), "--tolerance", "a percentage"),
-            "--min-speedup" => min_speedup = parse_or_die(need(i), "--min-speedup", "a ratio"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: [--rungs small|medium|full] [--seed n] [--reps k] [--out path] \
-                     [--baseline path] [--tolerance pct] [--min-speedup ratio]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other} (try --help)");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
-
-    let mut rows: Vec<Row> = Vec::new();
-    for rung in ladder(level) {
-        for k in DELTA_SIZES {
-            let row = run_cell(&rung, k, seed, reps);
-            eprintln!(
-                "  {}: {} nets, {} victims, warm {:.1} ms vs cold {:.1} ms ({:.1}x)",
-                row.name,
-                row.nets,
-                row.victims,
-                row.warm_ms,
-                row.cold_ms,
-                row.speedup()
-            );
-            rows.push(row);
-        }
-    }
-
-    let geomeans: Vec<(usize, f64)> = DELTA_SIZES
-        .iter()
-        .map(|&k| {
-            (
-                k,
-                geomean(rows.iter().filter(|r| r.delta_nets == k).map(Row::speedup)),
-            )
-        })
-        .collect();
-    for (k, g) in &geomeans {
-        eprintln!("  geomean {k}-net delta: {g:.1}x warm-vs-cold");
-    }
-
-    let row_json: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\": \"{}\", \"nets\": {}, \"delta_nets\": {}, \
-                 \"victims\": {}, \"warm_ms\": {:.2}, \"cold_ms\": {:.2}, \
-                 \"speedup\": {:.2}}}",
-                r.name,
-                r.nets,
-                r.delta_nets,
-                r.victims,
-                r.warm_ms,
-                r.cold_ms,
-                r.speedup()
-            )
-        })
-        .collect();
-    let geo_json: Vec<String> = geomeans
-        .iter()
-        .map(|(k, g)| format!("    {{\"name\": \"geomean/d{k}\", \"speedup\": {g:.2}}}"))
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"eco-warm-start\",\n  \"seed\": {seed},\n  \"reps\": {reps},\n  \
-         \"rungs\": [\n{}\n  ],\n  \"geomean\": [\n{}\n  ]\n}}\n",
-        row_json.join(",\n"),
-        geo_json.join(",\n")
+    let (flags, seed, out, baseline) = Flags::bench(
+        &[("--rungs", "small|medium|full"), ("--reps", "k")],
+        "BENCH_eco.json",
     );
-    std::fs::write(&out, &json).expect("write benchmark json");
-    println!("{} row(s) -> {out}", rows.len());
+    let level = flags.choice("--rungs", &["small", "medium", "full"], 1) as u8;
+    let reps = flags.get("--reps", 2usize);
 
-    let mut failures = 0usize;
-    if min_speedup > 0.0 {
-        let g1 = geomeans
-            .iter()
-            .find(|(k, _)| *k == 1)
-            .map(|(_, g)| *g)
-            .unwrap_or(0.0);
-        let verdict = if g1 < min_speedup { "FAIL" } else { "ok" };
-        eprintln!(
-            "  floor check: {g1:.1}x geomean 1-net speedup vs {min_speedup:.1}x floor {verdict}"
-        );
-        if g1 < min_speedup {
-            failures += 1;
+    let mut rows = Vec::new();
+    let mut names = Vec::new();
+    let mut speedups = vec![Vec::new(); DELTA_SIZES.len()];
+    for (rung, spec) in ladder(&RUNGS, level) {
+        for (i, k) in DELTA_SIZES.into_iter().enumerate() {
+            let name = format!("{rung}/d{k}");
+            let (row, speedup) = run_cell(&name, &spec, k, seed, reps);
+            rows.push(row);
+            names.push(name);
+            speedups[i].push(speedup.ln());
         }
     }
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let mut compared = 0usize;
-        for row in &rows {
-            let Some(base) = field(&text, &row.name, "speedup") else {
-                eprintln!("  baseline {path} has no row {}; skipping", row.name);
-                continue;
-            };
-            compared += 1;
-            let now = row.speedup();
-            let floor = base * (1.0 - tolerance / 100.0);
-            let verdict = if now < floor { "FAIL" } else { "ok" };
-            eprintln!(
-                "  baseline check {}: {now:.1}x vs {base:.1}x (floor {floor:.1}x) {verdict}",
-                row.name
-            );
-            if now < floor {
-                failures += 1;
-            }
-        }
-        if compared == 0 {
-            eprintln!("no row of this run exists in {path}; nothing gated");
-            std::process::exit(1);
-        }
-    }
-    if failures > 0 {
-        eprintln!("{failures} check(s) fell below the speedup floor");
-        std::process::exit(1);
-    }
-}
+    let geomeans: Vec<Value> = DELTA_SIZES
+        .iter()
+        .zip(&speedups)
+        .map(|(k, logs)| {
+            let g = (logs.iter().sum::<f64>() / logs.len() as f64).exp();
+            eprintln!("  geomean {k}-net delta: {g:.1}x warm-vs-cold");
+            let name = Value::from(format!("geomean/d{k}"));
+            Value::obj([("name", name), ("speedup", fixed(g, 2))])
+        })
+        .collect();
+    let fields = vec![
+        ("reps", Value::from(reps)),
+        ("rungs", Value::Arr(rows)),
+        ("geomean", Value::Arr(geomeans)),
+    ];
+    let doc = ledger::write(&out, "eco-warm-start", seed, fields);
+    println!("{} row(s) -> {out}", names.len());
 
-/// Pulls a numeric field for one row out of a `BENCH_eco.json`
-/// document (string scan — the workspace has no JSON parser
-/// dependency).
-fn field(json: &str, name: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"name\": \"{name}\""))?;
-    let rest = &json[at..];
-    let pat = format!("\"{key}\": ");
-    let v = &rest[rest.find(&pat)? + pat.len()..];
-    let end = v.find([',', '}'])?;
-    v[..end].trim().parse().ok()
+    let mut verdict = Verdict::new(baseline.as_ref());
+    if verdict.gating() {
+        verdict.gate(&doc, Some("geomean/d1"), &FLOOR);
+    }
+    for name in &names {
+        verdict.gate(&doc, Some(name), &GATE);
+    }
+    verdict.finish();
 }

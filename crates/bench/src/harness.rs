@@ -1,14 +1,18 @@
 //! Experiment runner shared by the table binaries.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use benchgen::BenchSpec;
 use dvi::{
     solve_heuristic_observed, solve_ilp_lazy_observed, DviParams, DviProblem, LazyIlpOptions,
 };
-use sadp_grid::{Netlist, RoutingGrid, SadpKind};
-use sadp_router::{RouteBudget, RouterConfig, RoutingSession};
+use sadp_grid::{NetId, Netlist, RoutingGrid, SadpKind};
+use sadp_router::dijkstra::route_net;
+use sadp_router::state::RouterState;
+use sadp_router::{CostParams, RouteBudget, RouterConfig, RoutingSession, SearchScratch};
 use sadp_trace::{merge_reports, JsonReport, NoopObserver, RouteObserver};
+
+use crate::ledger::Flags;
 
 /// Which solver computes the post-routing TPL-aware DVI metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,73 +69,31 @@ impl Default for RunArgs {
 }
 
 impl RunArgs {
-    /// Parses `std::env::args()`; unknown flags abort with a usage
-    /// message.
+    /// Parses the command line through [`Flags`]; a usage error
+    /// prints one line and exits 2.
     pub fn parse() -> RunArgs {
-        let mut out = RunArgs::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let need = |i: usize| {
-                args.get(i + 1).unwrap_or_else(|| {
-                    eprintln!("missing value for {}", args[i]);
-                    std::process::exit(2);
-                })
-            };
-            match args[i].as_str() {
-                "--scale" => {
-                    out.scale = need(i).parse().expect("--scale takes a float");
-                    i += 2;
-                }
-                "--seed" => {
-                    out.seed = need(i).parse().expect("--seed takes an integer");
-                    i += 2;
-                }
-                "--dvi" => {
-                    out.dvi_mode = match need(i).as_str() {
-                        "ilp" => DviMode::Ilp,
-                        "heur" | "heuristic" => DviMode::Heuristic,
-                        other => {
-                            eprintln!("unknown --dvi mode {other}");
-                            std::process::exit(2);
-                        }
-                    };
-                    i += 2;
-                }
-                "--ilp-limit" => {
-                    out.ilp_limit =
-                        Duration::from_secs(need(i).parse().expect("--ilp-limit takes seconds"));
-                    i += 2;
-                }
-                "--time-budget" => {
-                    out.time_budget = Some(Duration::from_secs_f64(
-                        need(i).parse().expect("--time-budget takes seconds"),
-                    ));
-                    i += 2;
-                }
-                "--circuits" => {
-                    out.circuits = Some(need(i).split(',').map(|s| s.trim().to_string()).collect());
-                    i += 2;
-                }
-                "--report" => {
-                    out.report = Some(need(i).clone());
-                    i += 2;
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: [--scale f] [--seed n] [--dvi ilp|heur] \
-                         [--ilp-limit secs] [--time-budget secs] \
-                         [--circuits a,b,...] [--report path]"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown argument {other} (try --help)");
-                    std::process::exit(2);
-                }
-            }
+        let flags = Flags::parse(&[
+            ("--scale", "f"),
+            ("--seed", "n"),
+            ("--dvi", "ilp|heur"),
+            ("--ilp-limit", "secs"),
+            ("--time-budget", "secs"),
+            ("--circuits", "a,b,..."),
+            ("--report", "path"),
+        ]);
+        let d = RunArgs::default();
+        RunArgs {
+            scale: flags.get("--scale", d.scale),
+            seed: flags.get("--seed", d.seed),
+            dvi_mode: match flags.choice("--dvi", &["heur", "heuristic", "ilp"], 0) {
+                2 => DviMode::Ilp,
+                _ => DviMode::Heuristic,
+            },
+            ilp_limit: Duration::from_secs(flags.get("--ilp-limit", d.ilp_limit.as_secs())),
+            time_budget: flags.opt("--time-budget").map(Duration::from_secs_f64),
+            circuits: Some(flags.list("--circuits", &[])).filter(|c| !c.is_empty()),
+            report: flags.opt("--report"),
         }
-        out
     }
 
     /// The benchmark suite selected by these arguments.
@@ -146,6 +108,21 @@ impl RunArgs {
             .map(|s| s.scaled(self.scale))
             .collect()
     }
+}
+
+/// The paper circuits named in `names`, scaled by `scale`. A list
+/// that names none of them prints one line and exits 2.
+pub fn select_suite(names: &[String], scale: f64) -> Vec<BenchSpec> {
+    let suite: Vec<BenchSpec> = BenchSpec::paper_suite()
+        .into_iter()
+        .filter(|s| names.iter().any(|n| n == s.name))
+        .map(|s| s.scaled(scale))
+        .collect();
+    if suite.is_empty() {
+        eprintln!("no circuits matched {:?} (try --help)", names.join(","));
+        std::process::exit(2);
+    }
+    suite
 }
 
 /// Metrics of one experiment arm on one circuit — the table columns.
@@ -246,6 +223,82 @@ pub fn run_arm_observed(
         dvi_cpu,
         routed: outcome.routed_all && outcome.congestion_free,
     }
+}
+
+/// One timed initial-routing pass ([`time_initial_route`]).
+#[derive(Debug, Clone, Copy)]
+pub struct KernelRun {
+    /// Wall clock of the per-net search calls.
+    pub total_ns: u128,
+    /// Connection searches run.
+    pub connections: u64,
+    /// Nets routed.
+    pub routed: usize,
+    /// Nets the search could not route.
+    pub failed: usize,
+}
+
+impl KernelRun {
+    /// Mean search time per connection.
+    pub fn ns_per_connection(&self) -> f64 {
+        self.total_ns as f64 / self.connections.max(1) as f64
+    }
+}
+
+/// The search-kernel workload of `bench_search` and `bench_scale`,
+/// which dominates router runtime: every net of the instance routed
+/// once in HPWL order with routes installed as they land, timing only
+/// the per-net search calls (install and bookkeeping excluded).
+pub fn time_initial_route(spec: &BenchSpec, seed: u64) -> KernelRun {
+    let netlist = spec.generate(seed);
+    let params = CostParams::default();
+    let mut state = RouterState::new(spec.grid(), &netlist, SadpKind::Sim, params, true, true);
+    let mut order: Vec<NetId> = netlist.iter().map(|(id, _)| id).collect();
+    order.sort_by_key(|&id| (netlist[id].hpwl(), id));
+    let mut scratch = SearchScratch::new();
+    let (mut total_ns, mut routed, mut failed) = (0, 0, 0);
+    for id in order {
+        let t0 = Instant::now();
+        let route = route_net(&state, id, &netlist[id], &mut scratch);
+        total_ns += t0.elapsed().as_nanos();
+        match route {
+            Some(route) => {
+                state.install_route(id, route);
+                routed += 1;
+            }
+            None => failed += 1,
+        }
+    }
+    let connections = scratch.searches;
+    KernelRun {
+        total_ns,
+        connections,
+        routed,
+        failed,
+    }
+}
+
+/// The rungs of a size ladder up to `level` (0 small, 1 medium,
+/// 2 full), from `(name, level)` pairs. A rung's name is its spec:
+/// `circuit-scale` (`ecc-0.25`) or `synth-<k>k` (`synth-100k`).
+pub fn ladder(rungs: &[(&'static str, u8)], level: u8) -> Vec<(&'static str, BenchSpec)> {
+    let spec = |name: &str| match name.split_once('-') {
+        Some(("synth", k)) => Some(BenchSpec::synthetic(
+            k.trim_end_matches('k').parse::<usize>().ok()? * 1000,
+        )),
+        Some((circuit, scale)) => Some(BenchSpec::by_name(circuit)?.scaled(scale.parse().ok()?)),
+        None => None,
+    };
+    rungs
+        .iter()
+        .filter(|&&(_, l)| l <= level)
+        .map(|&(name, _)| {
+            (
+                name,
+                spec(name).unwrap_or_else(|| panic!("bad rung {name}")),
+            )
+        })
+        .collect()
 }
 
 /// The four experiment arms of Tables III/IV, in paper order.

@@ -1,5 +1,6 @@
-//! The deterministic JSON-lines protocol `sadpd` speaks, plus the
-//! dependency-free JSON value parser it is built on.
+//! The deterministic JSON-lines protocol `sadpd` speaks, built on
+//! [`sadp_trace::json`] (re-exported here as [`Value`], [`parse`] and
+//! [`escape`]).
 //!
 //! One request object per input line, one response object per output
 //! line, fixed field order — byte-identical responses for identical
@@ -19,224 +20,11 @@ use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
 use sadp_grid::SadpKind;
-pub use sadp_trace::escape;
+pub use sadp_trace::json::{escape, parse, Value};
 
 use crate::job::{Arm, JobBudget, JobOutcome, JobSource, Priority, RouteRequest};
 use crate::service::{JobState, Service, ShutdownMode};
 use crate::JobId;
-
-/// A parsed JSON value (the subset the protocol needs; numbers keep
-/// both integer and float readings).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object, in source order.
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Object field lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as u64, if integral and in range.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document (trailing whitespace allowed).
-///
-/// # Errors
-///
-/// A byte offset + message for malformed input.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    Value::Str(s) => s,
-                    _ => return Err(format!("object key at byte {pos} is not a string")),
-                };
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let val = parse_value(b, pos)?;
-                fields.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, pos).map(Value::Str),
-        Some(b't') => parse_lit(b, pos, "true").map(|()| Value::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false").map(|()| Value::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null").map(|()| Value::Null),
-        Some(_) => parse_number(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "non-utf8 number".to_string())?;
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| format!("invalid number at byte {start}"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b.get(*pos), Some(&b'"'));
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape".to_string())?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| "non-utf8 escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("invalid \\u escape at byte {pos}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("invalid escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest =
-                    std::str::from_utf8(&b[*pos..]).map_err(|_| "non-utf8 string".to_string())?;
-                let ch = rest.chars().next().ok_or("empty string tail".to_string())?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-}
 
 /// Encodes a request in its canonical wire form — fixed field order,
 /// the exact inverse of [`decode_request`]. This is the request text
@@ -490,7 +278,11 @@ pub fn serve<R: BufRead, W: Write>(
         let mut shutdown_mode = None;
         match parse(trimmed) {
             Err(e) => {
-                let _ = write!(out, r#"{{"ok":false,"error":"{}"}}"#, escape(&e));
+                let _ = write!(
+                    out,
+                    r#"{{"ok":false,"error":"{}"}}"#,
+                    escape(&e.to_string())
+                );
             }
             Ok(v) => {
                 let op = v.get("op").and_then(Value::as_str).unwrap_or("");
@@ -677,28 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "{\"a\"}",
-            "[1,]",
-            "{\"a\":1} extra",
-            "\"unterminated",
-            "nul",
-        ] {
-            assert!(parse(bad).is_err(), "{bad:?} should fail");
-        }
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_unicode() {
-        let v = parse(r#""a\"b\\c\ndAé""#).unwrap();
-        assert_eq!(v.as_str(), Some("a\"b\\c\ndAé"));
-        assert_eq!(escape("a\"b\\c\nd"), r#"a\"b\\c\nd"#);
-    }
-
-    #[test]
     fn decode_handles_eco_sources() {
         let v = parse(
             r#"{"source":{"eco":{"spec":"ecc","scale":0.05,"seed":1},"delta":"block 1 3 4\n"}}"#,
@@ -783,6 +553,36 @@ mod tests {
                 "{line}"
             );
         }
+    }
+
+    #[test]
+    fn hostile_nesting_is_answered_and_the_loop_keeps_serving() {
+        let input = format!(
+            "{}\n{}\n{}\n",
+            "[".repeat(100_000),
+            r#"{"op":"health"}"#,
+            r#"{"op":"shutdown"}"#
+        );
+        let mut out = Vec::new();
+        let service = Service::start(crate::ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        assert_eq!(serve(input.as_bytes(), &mut out, service).unwrap(), 3);
+        let out = String::from_utf8(out).unwrap();
+        let replies: Vec<Value> = out.lines().map(|l| parse(l).unwrap()).collect();
+        assert_eq!(replies.len(), 3, "{out}");
+        assert_eq!(replies[0].get("ok"), Some(&Value::Bool(false)), "{out}");
+        assert!(replies[0]
+            .get("error")
+            .and_then(Value::as_str)
+            .is_some_and(|e| e.contains("nesting deeper than 64")));
+        assert_eq!(replies[1].get("ok"), Some(&Value::Bool(true)), "{out}");
+        assert_eq!(replies[1].get("op").and_then(Value::as_str), Some("health"));
+        assert_eq!(
+            replies[2].get("op").and_then(Value::as_str),
+            Some("shutdown")
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 
 use sadp_grid::{RouteError, SadpKind};
 use sadp_router::{RouteBudget, RoutingSession};
+use sadp_service::wire::{self, Value};
 use sadp_service::{
     journal, Arm, DurabilityConfig, JobId, JobOutcome, JobSource, Journal, Priority, RouteRequest,
     RouteResponse, RouteSummary, Service, ServiceConfig, SubmitError,
@@ -449,14 +450,14 @@ impl Daemon {
     }
 }
 
-fn field<'a>(line: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\":\"");
-    let at = line
-        .find(&pat)
+/// A string field of one JSON reply line.
+fn field(line: &str, key: &str) -> String {
+    let reply = wire::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    reply
+        .get(key)
+        .and_then(Value::as_str)
         .unwrap_or_else(|| panic!("no {key} in {line}"))
-        + pat.len();
-    let end = line[at..].find('"').expect("closing quote") + at;
-    &line[at..end]
+        .to_string()
 }
 
 const SLOW_SUBMIT: &str =
@@ -471,7 +472,7 @@ fn sigkilled_daemon_recovers_job_with_identical_fingerprint() {
     clean.send(SLOW_SUBMIT);
     clean.send(r#"{"op":"wait","job":1}"#);
     let _ack = clean.recv();
-    let reference = field(&clean.recv(), "fingerprint").to_string();
+    let reference = field(&clean.recv(), "fingerprint");
     clean.send(r#"{"op":"shutdown"}"#);
     let (ok, _) = clean.finish();
     assert!(ok);

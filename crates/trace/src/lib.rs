@@ -25,16 +25,20 @@
 //!   tests assert on it.
 //! * [`JsonReport`] — aggregates spans into a structured run report
 //!   (per-phase wall clock, counter totals, log₂ value histograms,
-//!   final quality flags) and serializes it to JSON with no external
-//!   dependencies. Reports produced by parallel `sadp-exec` tasks
-//!   merge deterministically in task-index order via
-//!   [`merge_reports`].
+//!   final quality flags) and serializes it through [`json`]. Reports
+//!   produced by parallel `sadp-exec` tasks merge deterministically in
+//!   task-index order via [`merge_reports`].
+//! * [`json`] — the workspace's one JSON value, parser and writer.
 
 #![warn(missing_docs)]
+
+pub mod json;
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
+
+use json::Value;
 
 /// The phase-scoped spans of the routing flow (paper Fig. 8 plus the
 /// post-routing passes).
@@ -475,90 +479,50 @@ impl JsonReport {
         self.notes.get(key).map(String::as_str)
     }
 
-    /// Serializes the report as one JSON object.
+    /// Serializes the report as one compact JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out, 0);
-        out.push('\n');
-        out
+        self.to_value().to_string()
     }
 
-    fn write_json(&self, out: &mut String, indent: usize) {
-        let pad = " ".repeat(indent);
-        let p2 = " ".repeat(indent + 2);
-        let p4 = " ".repeat(indent + 4);
-        out.push_str(&format!("{pad}{{\n"));
-        out.push_str(&format!("{p2}\"run\": \"{}\",\n", escape(&self.label)));
-        out.push_str(&format!("{p2}\"run_id\": \"{:016x}\",\n", self.run_id));
-        out.push_str(&format!(
-            "{p2}\"span_total_ns\": {},\n",
-            self.span_total().as_nanos()
-        ));
-        out.push_str(&format!("{p2}\"phases\": [\n"));
-        for (i, span) in self.spans.iter().enumerate() {
-            out.push_str(&format!(
-                "{p4}{{\"phase\": \"{}\", \"wall_ns\": {}",
-                span.phase.name(),
-                span.wall.as_nanos()
-            ));
+    /// The report as a JSON tree: `run`, `run_id`, `span_total_ns`,
+    /// `phases`, `flags`, `metrics`, `notes`.
+    fn to_value(&self) -> Value {
+        let phases = self.spans.iter().map(|span| {
+            let mut fields = vec![
+                ("phase", Value::from(span.phase.name())),
+                ("wall_ns", Value::from(span.wall.as_nanos() as u64)),
+            ];
             if !span.counters.is_empty() {
-                out.push_str(", \"counters\": {");
-                let mut first = true;
-                for (c, agg) in &span.counters {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    first = false;
-                    let hist: Vec<String> = agg.histogram.iter().map(|b| b.to_string()).collect();
-                    out.push_str(&format!(
-                        "\"{}\": {{\"total\": {}, \"events\": {}, \"log2_histogram\": [{}]}}",
-                        c.name(),
-                        agg.total,
-                        agg.events,
-                        hist.join(", ")
-                    ));
-                }
-                out.push('}');
+                let counters = span.counters.iter().map(|(c, agg)| {
+                    let agg = Value::obj([
+                        ("total", Value::from(agg.total)),
+                        ("events", Value::from(agg.events)),
+                        ("log2_histogram", Value::from(agg.histogram.to_vec())),
+                    ]);
+                    (c.name(), agg)
+                });
+                fields.push(("counters", Value::obj(counters)));
             }
-            out.push('}');
-            if i + 1 < self.spans.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str(&format!("{p2}],\n"));
-        out.push_str(&format!("{p2}\"flags\": {{"));
-        let mut first = true;
-        for (name, v) in &self.flags {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("\"{}\": {}", escape(name), v));
-        }
-        out.push_str("},\n");
-        out.push_str(&format!("{p2}\"metrics\": {{"));
-        let mut first = true;
-        for (name, v) in &self.metrics {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("\"{}\": {}", escape(name), v));
-        }
-        out.push_str("},\n");
-        out.push_str(&format!("{p2}\"notes\": {{"));
-        let mut first = true;
-        for (name, v) in &self.notes {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("\"{}\": \"{}\"", escape(name), escape(v)));
-        }
-        out.push_str("}\n");
-        out.push_str(&format!("{pad}}}"));
+            Value::obj(fields)
+        });
+        Value::obj([
+            ("run", Value::from(self.label.as_str())),
+            ("run_id", Value::from(format!("{:016x}", self.run_id))),
+            (
+                "span_total_ns",
+                Value::from(self.span_total().as_nanos() as u64),
+            ),
+            ("phases", Value::Arr(phases.collect())),
+            ("flags", object(&self.flags)),
+            ("metrics", object(&self.metrics)),
+            ("notes", object(&self.notes)),
+        ])
     }
+}
+
+/// A string-keyed map as a JSON object, in key order.
+fn object<T: Clone + Into<Value>>(map: &BTreeMap<String, T>) -> Value {
+    Value::obj(map.iter().map(|(k, v)| (k.as_str(), v.clone().into())))
 }
 
 impl RouteObserver for JsonReport {
@@ -617,50 +581,27 @@ impl RouteObserver for JsonReport {
     }
 }
 
-/// Merges per-task reports into one JSON document.
+/// Merges per-task reports into one indented JSON document:
+/// `{"report": title, "runs": N, "results": [report, ...]}`.
 ///
 /// The caller passes reports in task-index order (what
 /// `sadp_exec::map` returns); the document preserves that order, so
 /// the merged structure is identical for any `SADP_EXEC_THREADS`.
 pub fn merge_reports(title: &str, reports: &[JsonReport]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"report\": \"{}\",\n", escape(title)));
-    out.push_str(&format!("  \"runs\": {},\n", reports.len()));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        r.write_json(&mut out, 4);
-        if i + 1 < reports.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Escapes `s` as the inside of a JSON string literal: quote,
-/// backslash, and control characters (`\n`, `\r`, `\t` by name, the
-/// rest as `\u00XX`). The one escaper of the workspace; the service
-/// wire protocol re-exports it.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    let doc = Value::obj([
+        ("report", Value::from(title)),
+        ("runs", Value::from(reports.len())),
+        (
+            "results",
+            Value::Arr(reports.iter().map(JsonReport::to_value).collect()),
+        ),
+    ]);
+    doc.to_pretty() + "\n"
 }
 
 #[cfg(test)]
 mod tests {
+    use super::json::{parse, Value};
     use super::*;
 
     fn drive(obs: &mut impl RouteObserver) {
@@ -701,14 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn escape_maps_quotes_backslashes_and_controls() {
-        assert_eq!(
-            escape("a\"b\\c\nd\re\tf\u{1}g é"),
-            "a\\\"b\\\\c\\nd\\re\\tf\\u0001g é"
-        );
-    }
-
-    #[test]
     fn unbalanced_log_detected() {
         let mut log = EventLog::new();
         log.phase_start(Phase::Dvi);
@@ -735,11 +668,41 @@ mod tests {
         assert_eq!(agg.histogram[2], 1);
         assert_eq!(rep.flag("congestion_free"), Some(true));
         assert_eq!(rep.metric("wirelength"), Some(1234));
-        let json = rep.to_json();
-        assert!(json.contains("\"run\": \"ecc/+both\""));
-        assert!(json.contains("\"phase\": \"congestion_negotiation\""));
-        assert!(json.contains("\"congestion_free\": true"));
-        assert!(json.contains("\"wirelength\": 1234"));
+        let v = parse(&rep.to_json()).unwrap();
+        assert_eq!(v.get("run").and_then(Value::as_str), Some("ecc/+both"));
+        let Some(Value::Arr(phases)) = v.get("phases") else {
+            panic!("no phases in {v:?}");
+        };
+        let negotiation = &phases[1];
+        assert_eq!(
+            negotiation.get("phase").and_then(Value::as_str),
+            Some("congestion_negotiation")
+        );
+        let reroutes = negotiation.get("counters").and_then(|c| c.get("reroutes"));
+        assert_eq!(
+            reroutes
+                .and_then(|r| r.get("total"))
+                .and_then(Value::as_f64),
+            Some(5.0)
+        );
+        let mut histogram = vec![0u64; HISTOGRAM_BUCKETS];
+        histogram[0] = 2;
+        histogram[2] = 1;
+        assert_eq!(
+            reroutes.and_then(|r| r.get("log2_histogram")),
+            Some(&Value::from(histogram))
+        );
+        assert_eq!(
+            v.get("flags").and_then(|f| f.get("congestion_free")),
+            Some(&Value::Bool(true))
+        );
+        assert_eq!(
+            v.get("metrics")
+                .and_then(|m| m.get("wirelength"))
+                .and_then(Value::as_u64),
+            Some(1234)
+        );
+        assert!(v.get("span_total_ns").and_then(Value::as_u64).is_some());
     }
 
     #[test]
@@ -752,9 +715,14 @@ mod tests {
         rep.set_note("termination", "deadline");
         assert_eq!(rep.note_value("dvi_solver"), Some("heuristic"));
         assert_eq!(rep.note_value("missing"), None);
-        let json = rep.to_json();
-        assert!(json
-            .contains("\"notes\": {\"dvi_solver\": \"heuristic\", \"termination\": \"deadline\"}"));
+        let v = parse(&rep.to_json()).unwrap();
+        assert_eq!(
+            v.get("notes"),
+            Some(&Value::obj([
+                ("dvi_solver", Value::from("heuristic")),
+                ("termination", Value::from("deadline")),
+            ]))
+        );
         // Sinks without note support ignore them silently.
         RouteObserver::note(&mut NoopObserver, "k", "v");
         RouteObserver::note(&mut EventLog::new(), "k", "v");
@@ -794,12 +762,17 @@ mod tests {
     fn merge_preserves_order_and_escapes() {
         let a = JsonReport::new("a\"1");
         let b = JsonReport::new("b");
-        let doc = merge_reports("four-arms", &[a, b]);
-        assert!(doc.contains("\"report\": \"four-arms\""));
-        assert!(doc.contains("\"runs\": 2"));
-        let ia = doc.find("a\\\"1").expect("escaped label a");
-        let ib = doc.find("\"run\": \"b\"").expect("label b");
-        assert!(ia < ib, "task order preserved");
+        let doc = parse(&merge_reports("four-arms", &[a, b])).unwrap();
+        assert_eq!(doc.get("report").and_then(Value::as_str), Some("four-arms"));
+        assert_eq!(doc.get("runs").and_then(Value::as_u64), Some(2));
+        let Some(Value::Arr(results)) = doc.get("results") else {
+            panic!("no results in {doc:?}");
+        };
+        let labels: Vec<_> = results
+            .iter()
+            .map(|r| r.get("run").and_then(Value::as_str))
+            .collect();
+        assert_eq!(labels, [Some("a\"1"), Some("b")], "task order preserved");
     }
 
     #[test]
@@ -812,7 +785,11 @@ mod tests {
         assert_eq!(c.run_id(), 0xdead_beef);
         c.set_run_id(7);
         assert_eq!(c.run_id(), 7);
-        assert!(c.to_json().contains("\"run_id\": \"0000000000000007\""));
+        let v = parse(&c.to_json()).unwrap();
+        assert_eq!(
+            v.get("run_id").and_then(Value::as_str),
+            Some("0000000000000007")
+        );
         // Two same-label jobs distinguished by seeded ids stay
         // attributable in a merged document.
         let doc = merge_reports(
@@ -822,9 +799,21 @@ mod tests {
                 JsonReport::with_run_id("job", 2),
             ],
         );
-        let i1 = doc.find("0000000000000001").expect("id 1 present");
-        let i2 = doc.find("0000000000000002").expect("id 2 present");
-        assert!(i1 < i2, "task order preserved");
+        let Some(Value::Arr(results)) = parse(&doc).unwrap().get("results").cloned() else {
+            panic!("no results in {doc}");
+        };
+        let ids: Vec<_> = results
+            .iter()
+            .map(|r| r.get("run_id").and_then(Value::as_str).map(str::to_string))
+            .collect();
+        assert_eq!(
+            ids,
+            [
+                Some("0000000000000001".to_string()),
+                Some("0000000000000002".to_string())
+            ],
+            "task order preserved"
+        );
     }
 
     #[test]
