@@ -1,7 +1,7 @@
 //! Scale sweep of the routing kernel: initial-routes instances from
 //! bench scale 0.05 up through the full paper circuits and a 10⁵-net
-//! synthetic, then emits `BENCH_scale.json` with ns/connection and
-//! peak RSS per rung.
+//! synthetic, then emits `BENCH_scale.json` with ns/connection,
+//! expanded states, ns/expansion and peak RSS per rung.
 //!
 //! ```text
 //! cargo run --release -p bench-suite --bin bench_scale \
@@ -87,12 +87,15 @@ fn main() {
             r.failed
         );
         eprintln!(
-            "  {name}: {} nets on {}x{}, {:.0} ns/conn ({} conns), {:.1} s total, peak RSS {} MiB",
+            "  {name}: {} nets on {}x{}, {:.0} ns/conn ({} conns), {:.1} ns/expansion \
+             ({} expansions), {:.1} s total, peak RSS {} MiB",
             r.routed,
             spec.width,
             spec.height,
             r.ns_per_connection(),
             r.connections,
+            r.ns_per_expansion(),
+            r.expansions,
             r.total_ns as f64 / 1e9,
             rss_kb / 1024
         );
@@ -102,6 +105,8 @@ fn main() {
             ("grid", Value::from(vec![spec.width, spec.height])),
             ("connections", Value::from(r.connections)),
             ("ns_per_connection", fixed(r.ns_per_connection(), 1)),
+            ("expansions", Value::from(r.expansions)),
+            ("ns_per_expansion", fixed(r.ns_per_expansion(), 1)),
             ("total_ms", fixed(r.total_ns as f64 / 1e6, 1)),
             ("peak_rss_kb", Value::from(rss_kb)),
         ]));

@@ -1,6 +1,7 @@
 //! Benchmark of the maze-routing search kernel: routes
 //! table1/table2-class workloads with the dense A* kernel and emits
-//! `BENCH_search.json` with ns/connection per circuit.
+//! `BENCH_search.json` with ns/connection, expanded states and
+//! ns/expansion per circuit.
 //!
 //! ```text
 //! cargo run --release -p bench-suite --bin bench_search \
@@ -48,8 +49,12 @@ fn main() {
         assert_eq!(dense.failed, 0, "{}: dense kernel failed nets", spec.name);
         let ns = dense.ns_per_connection();
         let log = format!(
-            "  {}: {} nets, {ns:.0} ns/conn ({} conns)",
-            spec.name, dense.routed, dense.connections,
+            "  {}: {} nets, {ns:.0} ns/conn ({} conns), {:.1} ns/expansion ({} expansions)",
+            spec.name,
+            dense.routed,
+            dense.connections,
+            dense.ns_per_expansion(),
+            dense.expansions,
         );
         let row = Value::obj([
             ("name", Value::from(spec.name)),
@@ -57,6 +62,8 @@ fn main() {
             ("grid", Value::from(vec![spec.width, spec.height])),
             ("dense_ns_per_connection", fixed(ns, 1)),
             ("dense_connections", Value::from(dense.connections)),
+            ("expansions", Value::from(dense.expansions)),
+            ("ns_per_expansion", fixed(dense.ns_per_expansion(), 1)),
         ]);
         (row, log)
     });

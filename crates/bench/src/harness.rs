@@ -232,6 +232,10 @@ pub struct KernelRun {
     pub total_ns: u128,
     /// Connection searches run.
     pub connections: u64,
+    /// Search states expanded (`SearchScratch::expanded`): the same
+    /// count at a lower time per expansion is a faster kernel, a
+    /// different count is a different search.
+    pub expansions: u64,
     /// Nets routed.
     pub routed: usize,
     /// Nets the search could not route.
@@ -242,6 +246,11 @@ impl KernelRun {
     /// Mean search time per connection.
     pub fn ns_per_connection(&self) -> f64 {
         self.total_ns as f64 / self.connections.max(1) as f64
+    }
+
+    /// Mean search time per expanded state.
+    pub fn ns_per_expansion(&self) -> f64 {
+        self.total_ns as f64 / self.expansions.max(1) as f64
     }
 }
 
@@ -269,10 +278,10 @@ pub fn time_initial_route(spec: &BenchSpec, seed: u64) -> KernelRun {
             None => failed += 1,
         }
     }
-    let connections = scratch.searches;
     KernelRun {
         total_ns,
-        connections,
+        connections: scratch.searches,
+        expansions: scratch.expanded,
         routed,
         failed,
     }

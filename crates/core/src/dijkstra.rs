@@ -5,11 +5,12 @@
 //! in [`crate::search`]; this module re-exports its vocabulary types
 //! so existing imports keep working.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
 
-use sadp_grid::{Dir, GridPoint, Net, NetId, RoutedNet, Via, WireEdge};
+use sadp_grid::{Axis, Dir, GridPoint, Net, NetId, RoutedNet, Via, WireEdge};
 
-pub use crate::search::{route_connection, FoundPath, SearchScratch, Window};
+use crate::search::dir_code;
+pub use crate::search::{route_connection, FoundPath, SearchScratch, TreeArms, Window};
 use crate::state::RouterState;
 
 /// Routes a whole (multi-pin) net: grows a tree from the first pin,
@@ -25,14 +26,9 @@ pub fn route_net(
     net: &Net,
     scratch: &mut SearchScratch,
 ) -> Option<RoutedNet> {
-    route_net_with(
-        state,
-        id,
-        net,
-        |state, id, sources, tree, target, window| {
-            route_connection(state, id, sources, tree, target, window, scratch)
-        },
-    )
+    route_net_with(state, id, net, |state, id, tree, target, window| {
+        route_connection(state, id, tree, target, window, scratch)
+    })
 }
 
 /// The escalating window margins of the serial router. Speculative
@@ -57,26 +53,19 @@ pub(crate) fn route_net_windowed(
         id,
         net,
         &WINDOW_MARGINS[..1],
-        |state, id, sources, tree, target, window| {
-            route_connection(state, id, sources, tree, target, window, scratch)
+        |state, id, tree, target, window| {
+            route_connection(state, id, tree, target, window, scratch)
         },
     )
 }
 
 /// [`route_net`] generic over the point-to-tree search kernel: the
 /// tree-growth logic calls `connect` once per attempted connection
-/// (per window-escalation step). Used to run the reference kernel and
-/// for kernel differential tests.
+/// (per window-escalation step) with the tree grown so far. Used for
+/// kernel differential tests.
 pub fn route_net_with<F>(state: &RouterState, id: NetId, net: &Net, connect: F) -> Option<RoutedNet>
 where
-    F: FnMut(
-        &RouterState,
-        NetId,
-        &HashMap<GridPoint, Vec<Dir>>,
-        &HashSet<GridPoint>,
-        GridPoint,
-        Window,
-    ) -> Option<FoundPath>,
+    F: FnMut(&RouterState, NetId, &TreeArms, GridPoint, Window) -> Option<FoundPath>,
 {
     route_net_margins(state, id, net, &WINDOW_MARGINS, connect)
 }
@@ -91,14 +80,7 @@ fn route_net_margins<F>(
     mut connect: F,
 ) -> Option<RoutedNet>
 where
-    F: FnMut(
-        &RouterState,
-        NetId,
-        &HashMap<GridPoint, Vec<Dir>>,
-        &HashSet<GridPoint>,
-        GridPoint,
-        Window,
-    ) -> Option<FoundPath>,
+    F: FnMut(&RouterState, NetId, &TreeArms, GridPoint, Window) -> Option<FoundPath>,
 {
     let first_routing = state.grid.first_routing_layer();
     let pads: Vec<GridPoint> = net
@@ -109,8 +91,12 @@ where
 
     let mut edges: Vec<WireEdge> = Vec::new();
     let mut vias: Vec<Via> = state.pin_stub_for(net).vias().to_vec();
-    let mut tree_points: HashSet<GridPoint> = HashSet::new();
-    tree_points.insert(pads[0]);
+    // The tree with its planar arms, updated as each path lands (the
+    // masks `RoutedNet::new(edges, vias).arm_mask` would give), and
+    // its bounding box for the search window.
+    let mut tree: TreeArms = TreeArms::new();
+    tree.insert(pads[0], 0);
+    let (mut lo, mut hi) = ((pads[0].x, pads[0].y), (pads[0].x, pads[0].y));
 
     let mut remaining: Vec<GridPoint> = pads[1..].to_vec();
     // Running minimum tree distance per remaining pad, kept in sync
@@ -134,61 +120,56 @@ where
         };
         let target = remaining.swap_remove(idx);
         best_d.swap_remove(idx);
-        if tree_points.contains(&target) {
+        if tree.contains_key(&target) {
             continue;
         }
 
-        // Arm map for turn checks at branch points.
-        let partial = RoutedNet::new(edges.clone(), vias.clone());
-        let mut sources: HashMap<GridPoint, Vec<Dir>> = HashMap::new();
-        for &t in &tree_points {
-            if state.grid.is_routing_layer(t.layer) {
-                sources.insert(t, partial.arm_dirs(t));
-            }
-        }
-
-        let span: Vec<(i32, i32)> = tree_points
-            .iter()
-            .map(|t| (t.x, t.y))
-            .chain(std::iter::once((target.x, target.y)))
-            .collect();
+        let span = [lo, hi, (target.x, target.y)];
         let mut found = None;
         for &margin in margins {
             // `span` always holds the target, so the window is never
             // empty; treat the impossible case as "no path".
             let Some(window) = Window::around(
-                span.iter().copied(),
+                span,
                 margin.min(state.grid.width().max(state.grid.height())),
                 state.grid.width(),
                 state.grid.height(),
             ) else {
                 break;
             };
-            found = connect(state, id, &sources, &tree_points, target, window);
+            found = connect(state, id, &tree, target, window);
             if found.is_some() {
                 break;
             }
         }
         let path = found?;
-        let grow = |p: GridPoint, tree_points: &mut HashSet<GridPoint>, best_d: &mut Vec<u32>| {
-            if tree_points.insert(p) {
+        let mut grow = |p: GridPoint, arm: u8| match tree.entry(p) {
+            Entry::Occupied(mut e) => *e.get_mut() |= arm,
+            Entry::Vacant(e) => {
+                e.insert(arm);
+                lo = (lo.0.min(p.x), lo.1.min(p.y));
+                hi = (hi.0.max(p.x), hi.1.max(p.y));
                 for (d, pad) in best_d.iter_mut().zip(remaining.iter()) {
                     *d = (*d).min(p.manhattan(*pad));
                 }
             }
         };
         for e in path.edges {
-            for p in e.endpoints() {
-                grow(p, &mut tree_points, &mut best_d);
-            }
+            let [a, b] = e.endpoints();
+            let (da, db) = match e.axis {
+                Axis::Horizontal => (Dir::East, Dir::West),
+                Axis::Vertical => (Dir::North, Dir::South),
+            };
+            grow(a, 1 << dir_code(da));
+            grow(b, 1 << dir_code(db));
             edges.push(e);
         }
         for v in path.vias {
-            grow(v.bottom(), &mut tree_points, &mut best_d);
-            grow(v.top(), &mut tree_points, &mut best_d);
+            grow(v.bottom(), 0);
+            grow(v.top(), 0);
             vias.push(v);
         }
-        grow(target, &mut tree_points, &mut best_d);
+        grow(target, 0);
     }
     Some(RoutedNet::new(edges, vias))
 }
@@ -197,6 +178,7 @@ where
 mod tests {
     use super::*;
     use crate::costs::CostParams;
+    use benchgen::BenchSpec;
     use sadp_decomp::{classify_turn, TurnClass};
     use sadp_grid::{Net, Netlist, Pin, RoutingGrid, SadpKind};
 
@@ -290,6 +272,88 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Seeded multi-pin benchgen instances, routed net by net with
+    /// each route installed, under SIM and SID.
+    fn multi_pin_instances() -> Vec<(Netlist, RouterState)> {
+        let spec = BenchSpec {
+            name: "branches",
+            nets: 24,
+            width: 36,
+            height: 36,
+        };
+        (0..4u64)
+            .flat_map(|seed| [(seed, SadpKind::Sim), (seed, SadpKind::Sid)])
+            .map(|(seed, kind)| {
+                let nl = spec.generate(seed);
+                let st =
+                    RouterState::new(spec.grid(), &nl, kind, CostParams::default(), true, true);
+                (nl, st)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn no_forbidden_turns_at_branch_points() {
+        // Multi-pin nets start later connections from the tree, so
+        // their routes carry T-junctions whose arm pairs were checked
+        // against the tree's arm masks; every pair must be legal.
+        let mut junctions = 0usize;
+        for (nl, mut st) in multi_pin_instances() {
+            let mut scratch = SearchScratch::new();
+            for (id, net) in nl.iter() {
+                let r = route_net(&st, id, net, &mut scratch).expect("routable");
+                for (p, t) in r.turns() {
+                    assert_ne!(
+                        classify_turn(st.kind, p.x, p.y, t),
+                        TurnClass::Forbidden,
+                        "{}: forbidden turn of {id:?} at {p}",
+                        st.kind
+                    );
+                }
+                junctions += r
+                    .covered_points_sorted()
+                    .iter()
+                    .filter(|&&p| r.arm_mask(p).count_ones() >= 3)
+                    .count();
+                st.install_route(id, r);
+            }
+        }
+        assert!(junctions > 0, "no T-junction was routed");
+    }
+
+    #[test]
+    fn tree_arm_masks_match_the_accumulated_route() {
+        // Before every connection the tree must hold exactly the arms
+        // a route of the paths returned so far has, at every point.
+        let (mut connections, mut arms_seen) = (0usize, 0usize);
+        for (nl, mut st) in multi_pin_instances() {
+            let mut scratch = SearchScratch::new();
+            for (id, net) in nl.iter() {
+                let mut acc = RoutedNet::default();
+                let r = route_net_with(&st, id, net, |st, id, tree, target, window| {
+                    for p in acc.covered_points_sorted() {
+                        assert!(tree.contains_key(p), "{id:?}: {p} missing from the tree");
+                    }
+                    for (&p, &mask) in tree {
+                        assert_eq!(mask, acc.arm_mask(p), "{id:?}: arm mask at {p}");
+                        arms_seen += (mask != 0) as usize;
+                    }
+                    connections += 1;
+                    let path = route_connection(st, id, tree, target, window, &mut scratch)?;
+                    acc = RoutedNet::new(
+                        [acc.edges(), &path.edges].concat(),
+                        [acc.vias(), &path.vias].concat(),
+                    );
+                    Some(path)
+                })
+                .expect("routable");
+                st.install_route(id, r);
+            }
+        }
+        assert!(connections > 100, "only {connections} connections checked");
+        assert!(arms_seen > 0, "no connection started from a tree with arms");
     }
 
     #[test]

@@ -28,6 +28,14 @@
 //!   state, only the predecessor's incoming-direction code is stored
 //!   (1 byte): the predecessor point is recovered by stepping
 //!   backwards along the state's own incoming direction.
+//! * **Tree marks in the scratch** — the growing tree arrives as one
+//!   [`TreeArms`] map from point to planar-arm mask. At search start
+//!   every in-window tree point is written into its slots as closed
+//!   for all seven incoming codes (cost 0, which no step can improve,
+//!   so the search never traverses the tree) and then opened as a
+//!   source whose parent byte is [`SOURCE_FLAG`] plus its arm mask.
+//!   The expansion loop reads tree membership and branch-point arms
+//!   from the slot it already touches: no hashing per relax.
 //! * **Dial bucket-queue open set** — integer costs and a consistent
 //!   heuristic make the popped f-sequence monotone, so the open set is
 //!   a [`DialQueue`] (O(1) push, near-O(1) pop) instead of a binary
@@ -45,7 +53,7 @@
 //! open-set payload, where it keeps queue nodes at 16 bytes and gives
 //! a deterministic tie-break order.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use sadp_decomp::{classify_turn, TurnClass};
 use sadp_grid::{Dir, GridPoint, NetId, TurnKind, Via, WireEdge};
@@ -98,19 +106,19 @@ impl Window {
 
     /// `true` when `(x, y)` lies inside the window.
     #[inline]
-    pub fn contains(&self, x: i32, y: i32) -> bool {
+    pub fn contains(self, x: i32, y: i32) -> bool {
         x >= self.x0 && x <= self.x1 && y >= self.y0 && y <= self.y1
     }
 
     /// Window width in tracks.
     #[inline]
-    pub fn width(&self) -> i32 {
+    pub fn width(self) -> i32 {
         self.x1 - self.x0 + 1
     }
 
     /// Window height in tracks.
     #[inline]
-    pub fn height(&self) -> i32 {
+    pub fn height(self) -> i32 {
         self.y1 - self.y0 + 1
     }
 }
@@ -126,14 +134,26 @@ pub struct FoundPath {
     pub cost: i64,
 }
 
+/// The tree a connection grows from: every tree point with its
+/// planar-arm mask, bit `dir_code(d)` set when the tree has a
+/// unit edge from the point toward `d` (the bit order of
+/// [`sadp_grid::RoutedNet::arm_mask`]).
+pub type TreeArms = HashMap<GridPoint, u8>;
+
 /// Incoming-direction code for source states (no incoming wire).
 pub(crate) const IN_NONE: u8 = 6;
 
 /// Number of incoming-direction codes per grid point (6 dirs + none).
 const STATES_PER_POINT: usize = 7;
 
-/// Parent sentinel: the state is a search source.
-const PARENT_SOURCE: u8 = 0xFF;
+/// Parent-byte flag of every slot of a tree point, with the point's
+/// arm mask in the low four bits ([`ARM_BITS`]); the expansion loop
+/// reads the mask of a source (`IN_NONE`) state. Predecessor codes
+/// are `0..=IN_NONE`, so the bit is free.
+const SOURCE_FLAG: u8 = 0x80;
+
+/// The arm-mask bits of a tree point's parent byte.
+const ARM_BITS: u8 = 0x0F;
 
 #[inline]
 pub(crate) fn dir_code(d: Dir) -> u8 {
@@ -169,7 +189,7 @@ pub(crate) fn code_dir(c: u8) -> Option<Dir> {
 #[inline]
 pub(crate) fn key(p: GridPoint, in_code: u8) -> u64 {
     debug_assert!(
-        (-(1 << 23)..1 << 23).contains(&p.x) && (-(1 << 23)..1 << 23).contains(&p.y),
+        p.x >= -(1 << 23) && p.x < 1 << 23 && p.y >= -(1 << 23) && p.y < 1 << 23,
         "coordinates exceed the 24-bit key budget: {p}"
     );
     ((p.layer as u64) << 56)
@@ -243,7 +263,7 @@ pub struct SearchScratch {
     /// Best known cost from the sources (valid when stamped).
     dist: Vec<i64>,
     /// Incoming-direction code of the predecessor state, or
-    /// [`PARENT_SOURCE`] (valid when stamped).
+    /// [`SOURCE_FLAG`] plus an arm mask (valid when stamped).
     parent: Vec<u8>,
     /// Tile pages of the paged mode (`None` = never touched).
     pages: Vec<Option<Box<Page>>>,
@@ -395,9 +415,9 @@ impl SearchScratch {
         }
     }
 
-    /// Predecessor incoming-direction code of a stamped state. For an
-    /// unstamped state (a programming error) this degrades to
-    /// [`PARENT_SOURCE`], which safely terminates reconstruction.
+    /// Parent byte of a stamped state. For an unstamped state (a
+    /// programming error) this degrades to [`SOURCE_FLAG`], which
+    /// safely terminates reconstruction.
     #[inline]
     fn parent_at(&self, slot: usize) -> u8 {
         if !self.paged {
@@ -405,7 +425,7 @@ impl SearchScratch {
         } else {
             match &self.pages[slot >> PAGE_ADDR_SHIFT] {
                 Some(page) => page.parent[slot & PAGE_ADDR_MASK],
-                None => PARENT_SOURCE,
+                None => SOURCE_FLAG,
             }
         }
     }
@@ -464,16 +484,15 @@ impl SearchScratch {
 /// Searches a minimum-cost path from the source tree to `target`
 /// using the dense A* kernel.
 ///
-/// * `sources` — tree points on routing layers with their existing
-///   arm directions (turn legality at branch points is checked
-///   against them);
-/// * `tree_points` — all tree points; they cannot be traversed (a
-///   path may only *start* at the tree);
+/// * `tree` — every tree point with its planar-arm mask. Points on
+///   routing layers are the sources (turn legality at branch points
+///   is checked against their arms); no tree point can be traversed
+///   (a path may only *start* at the tree);
 /// * `target` — the pad to reach (on a routing layer);
 /// * `scratch` — reusable buffers (see [`SearchScratch`]).
 ///
-/// Source points outside `window` are ignored; the search never
-/// leaves the window. Returns `None` when no path exists inside it.
+/// Tree points outside `window` are ignored; the search never leaves
+/// the window. Returns `None` when no path exists inside it.
 ///
 /// The returned path has exactly the cost Dijkstra would find; only
 /// tie-breaking among equal-cost paths may differ from the hash-based
@@ -481,8 +500,7 @@ impl SearchScratch {
 pub fn route_connection(
     state: &RouterState,
     net: NetId,
-    sources: &HashMap<GridPoint, Vec<Dir>>,
-    tree_points: &HashSet<GridPoint>,
+    tree: &TreeArms,
     target: GridPoint,
     window: Window,
     scratch: &mut SearchScratch,
@@ -502,12 +520,23 @@ pub fn route_connection(
     let min_via = params.min_via_step();
 
     scratch.begin(window, grid.layer_count());
-    for &p in sources.keys() {
+    // Close every in-window tree point for all incoming codes at cost
+    // 0 (no step can improve on it, so `relax` never re-opens one),
+    // then open the routing-layer ones as sources carrying their arms.
+    // The map's iteration order is per-process, but the queue pops
+    // equal f-values in key order, so the search does not depend on it.
+    for (&p, &arms) in tree {
         if !window.contains(p.x, p.y) {
             continue;
         }
-        let h = SearchScratch::heuristic(p, target, min_step, min_via);
-        scratch.relax(p, IN_NONE, 0, PARENT_SOURCE, h);
+        for code in 0..=IN_NONE {
+            let slot = scratch.slot(p, code);
+            scratch.write(slot, 0, SOURCE_FLAG | arms);
+        }
+        if grid.is_routing_layer(p.layer) {
+            let h = SearchScratch::heuristic(p, target, min_step, min_via);
+            scratch.queue.push(h, key(p, IN_NONE));
+        }
     }
 
     let mut goal: Option<(GridPoint, u8)> = None;
@@ -524,6 +553,12 @@ pub fn route_connection(
             break;
         }
         let in_dir = code_dir(in_code);
+        // Existing arms at a branch point; only sources have no
+        // incoming direction, and their parent byte holds the mask.
+        let arms = match in_dir {
+            None => scratch.parent_at(slot) & ARM_BITS,
+            Some(_) => 0,
+        };
 
         // Planar moves.
         for dir in Dir::PLANAR {
@@ -548,36 +583,31 @@ pub fn route_connection(
                 }
             }
             // Turn legality at branch points (source states).
-            if in_dir.is_none() {
-                if let Some(arms) = sources.get(&p) {
-                    let mut ok = true;
-                    for &arm in arms {
-                        if arm.axis() == dir.axis() {
-                            continue;
-                        }
-                        let Some(turn) = TurnKind::from_arms(arm, dir) else {
-                            continue; // arms share an axis: not a turn
-                        };
-                        match classify_turn(state.kind, p.x, p.y, turn) {
-                            TurnClass::Forbidden => {
-                                ok = false;
-                                break;
-                            }
-                            TurnClass::NonPreferred => extra += params.turn_penalty(),
-                            TurnClass::Preferred => {}
-                        }
-                    }
-                    if !ok {
+            if arms != 0 {
+                let mut ok = true;
+                for arm in Dir::PLANAR {
+                    if arms & (1 << dir_code(arm)) == 0 || arm.axis() == dir.axis() {
                         continue;
                     }
+                    let Some(turn) = TurnKind::from_arms(arm, dir) else {
+                        continue; // arms share an axis: not a turn
+                    };
+                    match classify_turn(state.kind, p.x, p.y, turn) {
+                        TurnClass::Forbidden => {
+                            ok = false;
+                            break;
+                        }
+                        TurnClass::NonPreferred => extra += params.turn_penalty(),
+                        TurnClass::Preferred => {}
+                    }
+                }
+                if !ok {
+                    continue;
                 }
             }
             let v = p.stepped(dir);
             if !grid.in_bounds(v) || !window.contains(v.x, v.y) {
                 continue;
-            }
-            if tree_points.contains(&v) && v != target {
-                continue; // never traverse the existing tree
             }
             if state.wire_blocked[v] {
                 continue; // hard layout blockage
@@ -599,9 +629,6 @@ pub fn route_connection(
                 if !in_d.is_planar() && dir == in_d.opposite() {
                     continue;
                 }
-            }
-            if tree_points.contains(&v) && v != target {
-                continue;
             }
             if state.wire_blocked[v] {
                 continue; // hard layout blockage
@@ -625,7 +652,7 @@ pub fn route_connection(
     loop {
         let slot = scratch.slot(p, in_code);
         let parent_code = scratch.parent_at(slot);
-        if parent_code == PARENT_SOURCE {
+        if parent_code & SOURCE_FLAG != 0 {
             break;
         }
         // Non-source states always carry an incoming direction and
@@ -651,8 +678,7 @@ pub fn route_connection(
 fn route_connection_reference(
     state: &RouterState,
     net: NetId,
-    sources: &HashMap<GridPoint, Vec<Dir>>,
-    tree_points: &HashSet<GridPoint>,
+    tree: &TreeArms,
     target: GridPoint,
     window: Window,
 ) -> Option<FoundPath> {
@@ -679,7 +705,7 @@ fn route_connection_reference(
         }
     };
 
-    for &p in sources.keys() {
+    for &p in tree.keys().filter(|p| grid.is_routing_layer(p.layer)) {
         let k = key(p, IN_NONE);
         dist.insert(k, 0);
         heap.push(Reverse((0, k)));
@@ -716,9 +742,12 @@ fn route_connection_reference(
                 }
             }
             if in_dir.is_none() {
-                if let Some(arms) = sources.get(&p) {
+                if let Some(&mask) = tree.get(&p) {
+                    let arms = Dir::PLANAR
+                        .into_iter()
+                        .filter(|&a| mask & (1 << dir_code(a)) != 0);
                     let mut ok = true;
-                    for &arm in arms {
+                    for arm in arms {
                         if arm.axis() == dir.axis() {
                             continue;
                         }
@@ -741,7 +770,7 @@ fn route_connection_reference(
             if !grid.in_bounds(v) || !window.contains(v.x, v.y) {
                 continue;
             }
-            if tree_points.contains(&v) && v != target {
+            if tree.contains_key(&v) && v != target {
                 continue;
             }
             if state.wire_blocked[v] {
@@ -769,7 +798,7 @@ fn route_connection_reference(
                     continue;
                 }
             }
-            if tree_points.contains(&v) && v != target {
+            if tree.contains_key(&v) && v != target {
                 continue;
             }
             if state.wire_blocked[v] {
@@ -975,22 +1004,12 @@ mod tests {
                 let mut scratch = SearchScratch::new();
                 let ids: Vec<NetId> = nl.iter().map(|(id, _)| id).collect();
                 for id in ids {
-                    let routed = route_net_with(
-                        &st,
-                        id,
-                        &nl[id],
-                        |st, id, sources, tree, target, window| {
-                            let dense = route_connection(
-                                st,
-                                id,
-                                sources,
-                                tree,
-                                target,
-                                window,
-                                &mut scratch,
-                            );
+                    let routed =
+                        route_net_with(&st, id, &nl[id], |st, id, tree, target, window| {
+                            let dense =
+                                route_connection(st, id, tree, target, window, &mut scratch);
                             let reference =
-                                route_connection_reference(st, id, sources, tree, target, window);
+                                route_connection_reference(st, id, tree, target, window);
                             match (&dense, &reference) {
                                 (Some(a), Some(b)) => {
                                     assert_eq!(
@@ -1006,8 +1025,7 @@ mod tests {
                                 ),
                             }
                             dense
-                        },
-                    );
+                        });
                     // Install found routes so later nets search a
                     // penalized, partially occupied graph.
                     if let Some(r) = routed {
@@ -1106,11 +1124,11 @@ mod tests {
         assert!(cap > FLAT_SLOT_LIMIT, "window must trigger paged mode");
         let mut scratch = SearchScratch::new();
         for id in [NetId(0), NetId(1)] {
-            let routed = route_net_with(&st, id, &nl[id], |st, id, sources, tree, target, _w| {
+            let routed = route_net_with(&st, id, &nl[id], |st, id, tree, target, _w| {
                 // Substitute the full window so the dense kernel runs
                 // in paged mode; the reference kernel is window-exact.
-                let dense = route_connection(st, id, sources, tree, target, full, &mut scratch);
-                let reference = route_connection_reference(st, id, sources, tree, target, full);
+                let dense = route_connection(st, id, tree, target, full, &mut scratch);
+                let reference = route_connection_reference(st, id, tree, target, full);
                 match (&dense, &reference) {
                     (Some(a), Some(b)) => {
                         assert_eq!(a.cost, b.cost, "paged-kernel cost mismatch for {id:?}")

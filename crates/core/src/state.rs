@@ -292,14 +292,13 @@ impl RouterState {
             }
         }
         // Along-metal cost: via locations adjacent to this net's
-        // wires would lose DVICs to our metal.
+        // wires would lose DVICs to our metal. Sorted, not hashed, so
+        // the journal (which checkpoints write verbatim) has one order.
         let amc = self.params.amc_cost();
-        let mut wire_points: HashSet<GridPoint> = HashSet::new();
-        for e in route.edges() {
-            for p in e.endpoints() {
-                wire_points.insert(p);
-            }
-        }
+        let mut wire_points: Vec<GridPoint> =
+            route.edges().iter().flat_map(|e| e.endpoints()).collect();
+        wire_points.sort_unstable();
+        wire_points.dedup();
         for p in wire_points {
             for d in Dir::PLANAR {
                 let n = p.stepped(d);

@@ -95,12 +95,23 @@ fn checkpoint_restored_run_matches_uninterrupted_fingerprint() {
 #[test]
 fn checkpoint_is_deterministic_and_round_trips() {
     let (grid, netlist, config) = instance();
-    let mut session = RoutingSession::new(&grid, &netlist, config);
-    session.set_budget(RouteBudget::unlimited().with_max_phase_iters(5));
-    step(&mut session, &mut NoopObserver);
+    let sliced = || {
+        let mut session = RoutingSession::new(&grid, &netlist, config);
+        session.set_budget(RouteBudget::unlimited().with_max_phase_iters(5));
+        step(&mut session, &mut NoopObserver);
+        session
+    };
+    let session = sliced();
     let a = session.checkpoint();
     let b = session.checkpoint();
     assert_eq!(a, b, "same state must snapshot to identical bytes");
+    // A second, independent session of the same netlist writes the
+    // same text: no byte may depend on per-process hash state.
+    assert_eq!(
+        sliced().checkpoint(),
+        a,
+        "independent sessions must snapshot to identical bytes"
+    );
     // Restore and immediately re-checkpoint: the snapshot of the
     // restored session equals the original (no information lost).
     let restored = RoutingSession::restore(&grid, &netlist, config, &a).expect("restores");
