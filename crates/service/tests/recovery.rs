@@ -12,7 +12,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use sadp_grid::{RouteError, SadpKind};
@@ -395,6 +395,10 @@ struct Daemon {
     child: Child,
     stdin: Option<std::process::ChildStdin>,
     stdout: BufReader<std::process::ChildStdout>,
+    /// Stderr lines, read on a thread so a test can wait for one.
+    stderr: mpsc::Receiver<String>,
+    /// The stderr lines received so far.
+    log: String,
 }
 
 fn spawn_sadpd(args: &[&str]) -> Daemon {
@@ -407,10 +411,21 @@ fn spawn_sadpd(args: &[&str]) -> Daemon {
         .expect("spawn sadpd");
     let stdin = child.stdin.take();
     let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        for line in stderr.lines().map_while(Result::ok) {
+            if tx.send(line).is_err() {
+                break;
+            }
+        }
+    });
     Daemon {
         child,
         stdin,
         stdout,
+        stderr: rx,
+        log: String::new(),
     }
 }
 
@@ -428,14 +443,32 @@ impl Daemon {
         line
     }
 
-    /// Closes stdin (EOF ends the serve loop) and waits for exit.
+    /// Closes stdin (EOF ends the serve loop), waits for exit and
+    /// returns the exit verdict with the whole stderr.
     fn finish(mut self) -> (bool, String) {
         drop(self.stdin.take());
-        let out = self.child.wait_with_output().expect("daemon exits");
-        (
-            out.status.success(),
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-        )
+        let status = self.child.wait().expect("daemon exits");
+        // The reader thread ends at EOF, which closes the channel.
+        for line in self.stderr.iter() {
+            self.log.push_str(&line);
+            self.log.push('\n');
+        }
+        (status.success(), self.log)
+    }
+
+    /// Waits until stderr shows `needle`; `false` on timeout or when
+    /// stderr closes first.
+    fn wait_for_stderr(&mut self, needle: &str, within: Duration) -> bool {
+        let deadline = Instant::now() + within;
+        while !self.log.contains(needle) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let Ok(line) = self.stderr.recv_timeout(left) else {
+                return false;
+            };
+            self.log.push_str(&line);
+            self.log.push('\n');
+        }
+        true
     }
 
     fn wait_for_exit(&mut self, within: Duration) -> bool {
@@ -554,17 +587,29 @@ fn sigterm_drains_queued_work_then_exits() {
 fn second_sigterm_escalates_to_abort() {
     let _g = lock();
     let mut daemon = spawn_sadpd(&["--workers", "1", "--slice-iters", "1"]);
-    // Slow jobs keep the drain busy; the signals land back-to-back so
-    // the monitor sees both even if the queue empties fast.
-    for seed in [7, 8, 9] {
+    // The monitor polls every 50 ms and exits at the first poll that
+    // finds the drain idle, so the queue must outlast several polls
+    // after the first signal is seen. 24 distinct quarter-size ecc
+    // jobs take over a second to drain in a release build (three
+    // 0.05-scale jobs took one poll); the second signal cancels
+    // whatever is still queued.
+    for seed in 7..31 {
         daemon.send(
             &SLOW_SUBMIT
-                .replace("\"scale\":0.02", "\"scale\":0.05")
+                .replace("\"scale\":0.02", "\"scale\":0.25")
                 .replace("\"seed\":7", &format!("\"seed\":{seed}")),
         );
-        let _ = daemon.recv();
+        let ack = daemon.recv();
+        assert!(ack.contains(r#""ok":true"#), "{ack}");
     }
     send_signal(&daemon.child, "-TERM");
+    // Signal again only once the monitor has acted on the first one,
+    // so the second lands while the drain is busy.
+    assert!(
+        daemon.wait_for_stderr("draining", Duration::from_secs(30)),
+        "first signal seen: {}",
+        daemon.log
+    );
     send_signal(&daemon.child, "-TERM");
     assert!(
         daemon.wait_for_exit(Duration::from_secs(30)),
