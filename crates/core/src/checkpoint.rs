@@ -4,9 +4,9 @@
 //!
 //! The snapshot captures everything a resumed activation observes:
 //! the partial solution (solution text form), the verbatim per-net
-//! cost journals (replayed through the suspend/resume mechanism, so
-//! restore is order-independent — recomputing costs on restore would
-//! not be), the negotiated-congestion history, the pending work
+//! cost journals (replayed verbatim by `RouterState::restore_route`,
+//! so restore is order-independent — recomputing costs on restore
+//! would not be), the negotiated-congestion history, the pending work
 //! queues of every phase (congestion queue verbatim, TPL heap as its
 //! key set — unique sequence numbers make the pop order a pure
 //! function of the set), phase terminations, and the cumulative
@@ -34,7 +34,7 @@ use sadp_trace::fnv1a;
 use crate::budget::{ActiveBudget, Termination};
 use crate::flow::{RouterConfig, RoutingSession};
 use crate::rnr::{CongestionWork, InitialWork, RnrStats, TplWork, Violation};
-use crate::state::{Delta, MapKind, RouterState, SuspendedRoute};
+use crate::state::{Delta, MapKind, RouterState};
 
 /// Magic + version header of the checkpoint format.
 pub const CHECKPOINT_HEADER: &str = "sadp-checkpoint v1";
@@ -113,8 +113,7 @@ fn netlist_fingerprint(grid: &RoutingGrid, netlist: &Netlist) -> u64 {
 
 /// FNV-1a fingerprint binding a checkpoint to the routing fields of
 /// its configuration: process kind, arm, cost parameters, both phase
-/// caps, and coloring attempts. The execution-only `shard` tuning is
-/// output-invariant, so a checkpoint restores under any region size.
+/// caps, and coloring attempts — every field of the configuration.
 /// The exhaustive destructuring makes a new field a compile error here
 /// until it is classified.
 fn config_fingerprint(config: &RouterConfig) -> u64 {
@@ -126,7 +125,6 @@ fn config_fingerprint(config: &RouterConfig) -> u64 {
         max_congestion_iters,
         max_tpl_iters,
         coloring_attempts,
-        shard: _,
     } = config;
     fnv1a(
         format!(
@@ -535,7 +533,7 @@ impl<'a> RoutingSession<'a> {
             }
         }
 
-        // --- solution + journal replay through suspend/resume ---
+        // --- solution + verbatim journal replay ---
         let rest = lines.rest;
         if rest.len() < solution_len {
             return Err(durability("solution section truncated"));
@@ -549,11 +547,7 @@ impl<'a> RoutingSession<'a> {
         for (id, journal) in journals.into_iter().enumerate() {
             let id = NetId(id as u32);
             match parsed.take_route(id) {
-                Some(route) => {
-                    session
-                        .state
-                        .resume_route(id, SuspendedRoute::from_parts(route, journal));
-                }
+                Some(route) => session.state.restore_route(id, route, journal),
                 None if journal.is_empty() => {}
                 None => return Err(durability("cost journal for an unrouted net")),
             }
@@ -744,7 +738,7 @@ fn parse_digest(line: &str) -> Result<StateDigest, RouteError> {
 /// whose solution was altered (even with a re-signed checksum) or
 /// whose auxiliary state drifted from its solution is rejected. The
 /// journal-replayed state itself must match too, pinning the
-/// resume path against the install path.
+/// restore path against the install path.
 fn simulated_replay_check(
     restored: &RouterState,
     recorded: &StateDigest,

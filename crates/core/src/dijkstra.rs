@@ -31,52 +31,18 @@ pub fn route_net(
     })
 }
 
-/// The escalating window margins of the serial router. Speculative
-/// sharded routing uses only the first rung (see
-/// [`route_net_windowed`]); a net that needs escalation spills to the
-/// serial fixup path.
-pub(crate) const WINDOW_MARGINS: [i32; 3] = [8, 32, i32::MAX / 4];
-
-/// [`route_net`] restricted to the first window margin: every search
-/// stays inside `bbox(tree ∪ target) + 8`, so a footprint rectangle
-/// inflated accordingly is guaranteed to contain all reads and writes.
-/// Returns `None` when any connection would need window escalation —
-/// the caller must then fall back to the full serial ladder.
-pub(crate) fn route_net_windowed(
-    state: &RouterState,
-    id: NetId,
-    net: &Net,
-    scratch: &mut SearchScratch,
-) -> Option<RoutedNet> {
-    route_net_margins(
-        state,
-        id,
-        net,
-        &WINDOW_MARGINS[..1],
-        |state, id, tree, target, window| {
-            route_connection(state, id, tree, target, window, scratch)
-        },
-    )
-}
+/// The escalating window margins: each connection searches
+/// `bbox(tree ∪ target)` inflated by 8, then 32, then the whole grid.
+const WINDOW_MARGINS: [i32; 3] = [8, 32, i32::MAX / 4];
 
 /// [`route_net`] generic over the point-to-tree search kernel: the
 /// tree-growth logic calls `connect` once per attempted connection
 /// (per window-escalation step) with the tree grown so far. Used for
 /// kernel differential tests.
-pub fn route_net_with<F>(state: &RouterState, id: NetId, net: &Net, connect: F) -> Option<RoutedNet>
-where
-    F: FnMut(&RouterState, NetId, &TreeArms, GridPoint, Window) -> Option<FoundPath>,
-{
-    route_net_margins(state, id, net, &WINDOW_MARGINS, connect)
-}
-
-/// The tree-growth loop, generic over both the connection kernel and
-/// the window-escalation ladder.
-fn route_net_margins<F>(
+pub fn route_net_with<F>(
     state: &RouterState,
     id: NetId,
     net: &Net,
-    margins: &[i32],
     mut connect: F,
 ) -> Option<RoutedNet>
 where
@@ -126,7 +92,7 @@ where
 
         let span = [lo, hi, (target.x, target.y)];
         let mut found = None;
-        for &margin in margins {
+        for margin in WINDOW_MARGINS {
             // `span` always holds the target, so the window is never
             // empty; treat the impossible case as "no path".
             let Some(window) = Window::around(
@@ -420,40 +386,6 @@ mod tests {
         );
         let r = route(&st, NetId(0), &nl[NetId(0)]).expect("routable");
         assert_eq!(r.wirelength(), 116);
-    }
-
-    #[test]
-    fn windowed_routing_matches_serial_and_refuses_escalation() {
-        // A near net fits the first window rung: both routers agree.
-        let (nl, st) = state_with(vec![Net::new("a", vec![Pin::new(4, 6), Pin::new(12, 6)])]);
-        let serial = route(&st, NetId(0), &nl[NetId(0)]).expect("routable");
-        let windowed = route_net_windowed(&st, NetId(0), &nl[NetId(0)], &mut SearchScratch::new())
-            .expect("fits the first window");
-        assert_eq!(serial, windowed);
-
-        // A detour forced outside the margin-8 window makes the
-        // windowed router refuse (serial escalates instead).
-        let mut nl2 = Netlist::new();
-        nl2.push(Net::new("far", vec![Pin::new(2, 2), Pin::new(60, 60)]));
-        let grid = RoutingGrid::three_layer(64, 64);
-        let mut st2 = RouterState::new(
-            grid,
-            &nl2,
-            SadpKind::Sim,
-            CostParams::default(),
-            false,
-            false,
-        );
-        // Wall off the margin-8 corridor around the diagonal with
-        // blocked vias and occupied metal is heavyweight; instead just
-        // assert the windowed route, when it exists, stays legal.
-        st2.enforce_blocked = false;
-        let w = route_net_windowed(&st2, NetId(0), &nl2[NetId(0)], &mut SearchScratch::new());
-        if let Some(r) = w {
-            let mut sol = sadp_grid::RoutingSolution::new(st2.grid.clone(), &nl2);
-            sol.set_route(NetId(0), r);
-            assert!(sol.connectivity_errors(&nl2).is_empty());
-        }
     }
 
     #[test]

@@ -22,8 +22,7 @@
 //! ways to finish a run. They return structured [`RouteError`]s
 //! instead of panicking: invalid inputs are rejected up front, and a
 //! panic anywhere in the flow (including worker tasks of the coloring
-//! fan-out and the sharded waves) is contained and reported as
-//! [`RouteError::TaskPanicked`].
+//! fan-out) is contained and reported as [`RouteError::TaskPanicked`].
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -41,7 +40,6 @@ use crate::rnr::{
     tpl_violation_removal_budgeted, CongestionWork, InitialWork, PinIndex, RnrStats, TplWork,
 };
 use crate::search::SearchScratch;
-use crate::shard::{self, ShardParams};
 use crate::state::RouterState;
 
 /// Failpoint name for an injected delay at the start of every phase
@@ -62,7 +60,9 @@ pub const MAX_COLORING_ATTEMPTS: usize = 10_000;
 /// This value is the whole configuration of a run: a session never
 /// reads the environment. The only execution setting outside it is the
 /// pool width, which `sadp-exec` takes from `sadp_exec::with_threads`
-/// or `SADP_EXEC_THREADS`.
+/// or `SADP_EXEC_THREADS`. It sizes the per-via-layer fan-outs of the
+/// coloring check and the audits and never changes the output; the
+/// rip-up-and-reroute loops themselves always run serially.
 ///
 /// Construct validated configurations with [`RouterConfig::builder`];
 /// the four arm shorthands ([`RouterConfig::baseline`],
@@ -86,9 +86,6 @@ pub struct RouterConfig {
     pub max_tpl_iters: usize,
     /// Attempts of the final coloring-fix loop.
     pub coloring_attempts: usize,
-    /// Tuning of the intra-instance sharded R&R scheduler
-    /// (output-invariant; see [`ShardParams`]).
-    pub shard: ShardParams,
 }
 
 /// A [`RouterConfig`] field rejected by
@@ -105,8 +102,6 @@ pub enum ConfigError {
     NegativeCostWeight(&'static str, i64),
     /// A cost factor that must be ≥ 1 was smaller.
     CostFactorBelowOne(&'static str, i64),
-    /// `shard.region` must be ≥ 1.
-    ShardRegion(i32),
 }
 
 impl fmt::Display for ConfigError {
@@ -129,9 +124,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::CostFactorBelowOne(name, v) => {
                 write!(f, "cost factor {name} must be >= 1, got {v}")
-            }
-            ConfigError::ShardRegion(r) => {
-                write!(f, "shard.region must be >= 1, got {r}")
             }
         }
     }
@@ -203,12 +195,6 @@ impl RouterConfigBuilder {
         self
     }
 
-    /// Overrides the sharded R&R scheduler tuning. Output-invariant.
-    pub fn shard(mut self, params: ShardParams) -> Self {
-        self.config.shard = params;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
@@ -250,9 +236,6 @@ impl RouterConfigBuilder {
                 return Err(ConfigError::CostFactorBelowOne(name, v));
             }
         }
-        if c.shard.region < 1 {
-            return Err(ConfigError::ShardRegion(c.shard.region));
-        }
         Ok(self.config)
     }
 }
@@ -269,7 +252,6 @@ impl RouterConfig {
                 max_congestion_iters: 0,
                 max_tpl_iters: 0,
                 coloring_attempts: 3,
-                shard: ShardParams::default(),
             },
         }
     }
@@ -423,9 +405,6 @@ pub struct RoutingSession<'a> {
     pub(crate) pins: PinIndex,
     pub(crate) state: RouterState,
     pub(crate) scratch: SearchScratch,
-    /// Per-worker scratches of the sharded R&R scheduler, reused
-    /// across waves and phase activations.
-    pub(crate) shard_pool: Vec<SearchScratch>,
     pub(crate) start: Instant,
     pub(crate) budget: ActiveBudget,
     pub(crate) initial_work: InitialWork,
@@ -471,7 +450,6 @@ impl<'a> RoutingSession<'a> {
             pins: PinIndex::build(&state.grid, netlist),
             state,
             scratch: SearchScratch::new(),
-            shard_pool: Vec::new(),
             start: Instant::now(),
             budget: ActiveBudget::unlimited(),
             initial_work: InitialWork::default(),
@@ -605,44 +583,15 @@ impl<'a> RoutingSession<'a> {
         let limits = self.budget.limits(usize::MAX);
         obs.phase_start(Phase::InitialRouting);
         faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
-        let t = if shard::should_shard(&limits, &self.state) {
-            match crate::shard::initial_routing_sharded(
-                &mut self.state,
-                self.netlist,
-                limits,
-                &mut self.initial_work,
-                &mut self.failed,
-                &mut self.scratch,
-                &mut self.shard_pool,
-                self.config.shard,
-                obs,
-            ) {
-                Ok(t) => t,
-                Err(p) => {
-                    // Contain the worker panic: nets not yet routed are
-                    // reported failed so `routed_all` stays truthful,
-                    // and `try_finish` surfaces the fault.
-                    self.fault = Some(RouteError::TaskPanicked {
-                        task: p.task,
-                        message: p.message,
-                    });
-                    self.failed
-                        .extend_from_slice(&self.initial_work.order[self.initial_work.pos..]);
-                    self.initial_work.pos = self.initial_work.order.len();
-                    Termination::Converged
-                }
-            }
-        } else {
-            initial_routing_budgeted(
-                &mut self.state,
-                self.netlist,
-                limits,
-                &mut self.initial_work,
-                &mut self.failed,
-                &mut self.scratch,
-                obs,
-            )
-        };
+        let t = initial_routing_budgeted(
+            &mut self.state,
+            self.netlist,
+            limits,
+            &mut self.initial_work,
+            &mut self.failed,
+            &mut self.scratch,
+            obs,
+        );
         obs.phase_end(Phase::InitialRouting);
         self.initial_term = Some(t);
     }
@@ -658,45 +607,15 @@ impl<'a> RoutingSession<'a> {
         let limits = self.budget.limits(config_cap);
         obs.phase_start(Phase::CongestionNegotiation);
         faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
-        let (clean, stats) = if shard::should_shard(&limits, &self.state) {
-            let (result, stats) = crate::shard::negotiate_congestion_sharded(
-                &mut self.state,
-                self.netlist,
-                &self.pins,
-                limits,
-                &mut self.congestion_work,
-                &mut self.scratch,
-                &mut self.shard_pool,
-                self.config.shard,
-                obs,
-            );
-            match result {
-                Ok(clean) => (clean, stats),
-                Err(p) => {
-                    // Contain the worker panic: the wave rolled back to
-                    // a valid serial state; record the fault and stop
-                    // the phase with its partial stats.
-                    self.fault = Some(RouteError::TaskPanicked {
-                        task: p.task,
-                        message: p.message,
-                    });
-                    let clean = self.state.congested_points().is_empty();
-                    let mut stats = stats;
-                    stats.termination = Termination::Converged;
-                    (clean, stats)
-                }
-            }
-        } else {
-            negotiate_congestion_budgeted(
-                &mut self.state,
-                self.netlist,
-                &self.pins,
-                limits,
-                &mut self.congestion_work,
-                &mut self.scratch,
-                obs,
-            )
-        };
+        let (clean, stats) = negotiate_congestion_budgeted(
+            &mut self.state,
+            self.netlist,
+            &self.pins,
+            limits,
+            &mut self.congestion_work,
+            &mut self.scratch,
+            obs,
+        );
         obs.phase_end(Phase::CongestionNegotiation);
         self.congestion_clean = clean;
         self.congestion_stats.merge(stats);
@@ -864,10 +783,9 @@ impl<'a> RoutingSession<'a> {
     ///
     /// # Errors
     ///
-    /// [`RouteError::TaskPanicked`] when a worker task of a sharded
-    /// wave or of the coloring fan-out panicked (recorded by an
-    /// earlier stage or while finishing), or when any phase panicked
-    /// while finishing.
+    /// [`RouteError::TaskPanicked`] when a worker task of the coloring
+    /// fan-out panicked (recorded by an earlier stage or while
+    /// finishing), or when any phase panicked while finishing.
     pub fn try_finish(self, obs: &mut impl RouteObserver) -> Result<RoutingOutcome, RouteError> {
         if let Some(f) = &self.fault {
             return Err(f.clone());
@@ -943,8 +861,8 @@ impl<'a> RoutingSession<'a> {
     /// 4. rewinds the phase machinery so the normal `initial_route →
     ///    negotiate → tpl_removal → ensure_colorable` sequence re-runs
     ///    warm over just the victims and added nets. Budgets,
-    ///    observers, sharding, and resumability behave exactly as on a
-    ///    cold session.
+    ///    observers, and resumability behave exactly as on a cold
+    ///    session.
     ///
     /// Emits [`Counter::EcoVictims`] (nets ripped) and
     /// [`Counter::EcoReused`] (routes kept) under
@@ -1442,45 +1360,6 @@ mod tests {
         assert_eq!(by_builder.consider_dvi, full.consider_dvi);
         assert_eq!(by_builder.consider_tpl, full.consider_tpl);
         assert_eq!(by_builder.coloring_attempts, full.coloring_attempts);
-    }
-
-    #[test]
-    fn shard_region_validates_and_is_output_invariant() {
-        assert_eq!(
-            RouterConfig::builder(SadpKind::Sim)
-                .shard(ShardParams { region: 0 })
-                .build()
-                .unwrap_err(),
-            ConfigError::ShardRegion(0)
-        );
-
-        // Every pool width and region size routes to the same outcome
-        // as the defaults — they tune *how*, never *what*.
-        let grid = RoutingGrid::three_layer(24, 24);
-        let nl = small_netlist();
-        let reference = RoutingSession::new(&grid, &nl, RouterConfig::full(SadpKind::Sim))
-            .try_finish(&mut NoopObserver)
-            .expect("no contained fault");
-        for threads in [1usize, 3] {
-            for region in [4, 16] {
-                let config = RouterConfig::builder(SadpKind::Sim)
-                    .dvi(true)
-                    .tpl(true)
-                    .shard(ShardParams { region })
-                    .build()
-                    .unwrap();
-                let out = sadp_exec::with_threads(threads, || {
-                    RoutingSession::new(&grid, &nl, config).try_finish(&mut NoopObserver)
-                })
-                .expect("no contained fault");
-                assert_eq!(
-                    out.stats, reference.stats,
-                    "threads={threads} region={region}"
-                );
-                assert_eq!(out.routed_all, reference.routed_all);
-                assert_eq!(out.colorable, reference.colorable);
-            }
-        }
     }
 
     #[test]

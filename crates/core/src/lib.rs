@@ -49,7 +49,6 @@ pub mod eco;
 pub mod flow;
 pub mod rnr;
 pub mod search;
-pub mod shard;
 pub mod state;
 
 pub use audit::{full_audit, full_audit_observed, mask_audit, FullAudit};
@@ -62,4 +61,3 @@ pub use flow::{
 };
 pub use sadp_grid::RouteError;
 pub use search::SearchScratch;
-pub use shard::ShardParams;

@@ -20,7 +20,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
 
-use sadp_grid::{GridPoint, NetId, Netlist, RoutedNet, RoutingGrid, Via};
+use sadp_grid::{GridPoint, NetId, Netlist, RoutingGrid, Via};
 use sadp_trace::{Counter, Phase, RouteObserver};
 use tpl_decomp::{exact_color, welsh_powell, DecompGraph};
 
@@ -202,37 +202,6 @@ impl InitialWork {
     }
 }
 
-/// Computes the HPWL net order on first activation (idempotent).
-pub(crate) fn seed_initial_order(work: &mut InitialWork, netlist: &Netlist) {
-    if !work.seeded {
-        work.order = netlist.iter().map(|(id, _)| id).collect();
-        work.order.sort_by_key(|&id| (netlist[id].hpwl(), id));
-        work.pos = 0;
-        work.seeded = true;
-    }
-}
-
-/// One serial initial-routing iteration: routes `work.order[work.pos]`
-/// with the full window ladder and advances the cursor.
-pub(crate) fn initial_step(
-    state: &mut RouterState,
-    netlist: &Netlist,
-    work: &mut InitialWork,
-    failed: &mut Vec<NetId>,
-    scratch: &mut SearchScratch,
-    obs: &mut impl RouteObserver,
-) {
-    let id = work.order[work.pos];
-    work.pos += 1;
-    match route_net(state, id, &netlist[id], scratch) {
-        Some(route) => state.install_route(id, route),
-        None => {
-            obs.counter(Phase::InitialRouting, Counter::FailedNets, 1);
-            failed.push(id);
-        }
-    }
-}
-
 /// Routes every net once, in increasing-HPWL order, sharing one
 /// search scratch across all nets. Returns the nets that could not be
 /// routed at all (normally empty).
@@ -270,7 +239,12 @@ pub fn initial_routing_budgeted(
     obs: &mut impl RouteObserver,
 ) -> Termination {
     const PHASE: Phase = Phase::InitialRouting;
-    seed_initial_order(work, netlist);
+    if !work.seeded {
+        work.order = netlist.iter().map(|(id, _)| id).collect();
+        work.order.sort_by_key(|&id| (netlist[id].hpwl(), id));
+        work.pos = 0;
+        work.seeded = true;
+    }
     let mut done_here = 0usize;
     while work.pos < work.order.len() {
         if let Some(t) = limits.stop_reason(done_here, scratch.expanded) {
@@ -278,7 +252,15 @@ pub fn initial_routing_budgeted(
             return t;
         }
         done_here += 1;
-        initial_step(state, netlist, work, failed, scratch, obs);
+        let id = work.order[work.pos];
+        work.pos += 1;
+        match route_net(state, id, &netlist[id], scratch) {
+            Some(route) => state.install_route(id, route),
+            None => {
+                obs.counter(PHASE, Counter::FailedNets, 1);
+                failed.push(id);
+            }
+        }
     }
     Termination::Converged
 }
@@ -294,20 +276,6 @@ fn reroute(
     let Some(old) = state.uninstall_route(id) else {
         return false;
     };
-    reroute_uninstalled(state, netlist, id, old, scratch)
-}
-
-/// The tail of [`reroute`] for a victim whose old route is already
-/// lifted out of the state (the sharded spill path suspends routes up
-/// front): full window ladder, one retry without blocked-via
-/// enforcement, reinstall of `old` on failure.
-pub(crate) fn reroute_uninstalled(
-    state: &mut RouterState,
-    netlist: &Netlist,
-    id: NetId,
-    old: RoutedNet,
-    scratch: &mut SearchScratch,
-) -> bool {
     match route_net(state, id, &netlist[id], scratch) {
         Some(new_route) => {
             state.install_route(id, new_route);
@@ -340,7 +308,7 @@ pub(crate) fn reroute_uninstalled(
 /// `buf` is a caller-owned scratch buffer (threaded through the work
 /// structs so the hot loop performs no per-call allocation); its
 /// contents on return are the rip candidates.
-pub(crate) fn rip_candidate_at(
+fn rip_candidate_at(
     state: &RouterState,
     pins: &PinIndex,
     p: GridPoint,
@@ -375,74 +343,6 @@ pub struct CongestionWork {
     pub(crate) rotation: usize,
     /// Reused rip-candidate buffer (no per-iteration allocation).
     pub(crate) victims: Vec<NetId>,
-}
-
-/// Seeds the violation queue from the congested points when no
-/// previous activation left pending work (idempotent).
-pub(crate) fn seed_congestion_queue(work: &mut CongestionWork, state: &RouterState) {
-    if work.queue.is_empty() {
-        work.queue = state.congested_points().into();
-    }
-}
-
-/// One serial congestion iteration: pops the next violation and
-/// processes it (stale entries are consumed silently, exactly like
-/// the `continue` of the serial loop). Returns `false` when the queue
-/// is empty.
-pub(crate) fn congestion_step(
-    state: &mut RouterState,
-    netlist: &Netlist,
-    pins: &PinIndex,
-    work: &mut CongestionWork,
-    stats: &mut RnrStats,
-    scratch: &mut SearchScratch,
-    obs: &mut impl RouteObserver,
-) -> bool {
-    const PHASE: Phase = Phase::CongestionNegotiation;
-    let Some(p) = work.queue.pop_front() else {
-        return false;
-    };
-    let mut victims = std::mem::take(&mut work.victims);
-    let candidate = rip_candidate_at(state, pins, p, work.rotation, &mut victims);
-    work.victims = victims;
-    let Some(victim) = candidate else {
-        return true;
-    };
-    work.rotation += 1;
-    stats.iterations += 1;
-    obs.counter(PHASE, Counter::Iterations, 1);
-    obs.counter(PHASE, Counter::CongestionHits, 1);
-    state.bump_history(p);
-    obs.counter(PHASE, Counter::CostDelta, state.params.history_step());
-    if reroute(state, netlist, victim, scratch) {
-        stats.reroutes += 1;
-        obs.counter(PHASE, Counter::Reroutes, 1);
-    } else {
-        stats.failures += 1;
-        obs.counter(PHASE, Counter::RerouteFailures, 1);
-    }
-    requeue_after_reroute(state, work, victim, p);
-    true
-}
-
-/// Re-examines after a reroute: overlaps of the victim's (new or
-/// reinstalled) route, and the processed point if still congested.
-pub(crate) fn requeue_after_reroute(
-    state: &RouterState,
-    work: &mut CongestionWork,
-    victim: NetId,
-    p: GridPoint,
-) {
-    if let Some(route) = state.solution.route(victim) {
-        for &q in route.covered_points_sorted() {
-            if state.owners_of(q).len() > 1 {
-                work.queue.push_back(q);
-            }
-        }
-    }
-    if state.owners_of(p).len() > 1 {
-        work.queue.push_back(p);
-    }
 }
 
 /// Negotiated-congestion R&R: resolves shared routing resources until
@@ -483,7 +383,9 @@ pub fn negotiate_congestion_budgeted(
 ) -> (bool, RnrStats) {
     const PHASE: Phase = Phase::CongestionNegotiation;
     let mut stats = RnrStats::default();
-    seed_congestion_queue(work, state);
+    if work.queue.is_empty() {
+        work.queue = state.congested_points().into();
+    }
     loop {
         // Budget check *before* the pop: an interrupted activation
         // leaves the violation in the queue for the resume.
@@ -492,8 +394,37 @@ pub fn negotiate_congestion_budgeted(
             obs.counter(PHASE, Counter::BudgetStops, 1);
             break;
         }
-        if !congestion_step(state, netlist, pins, work, &mut stats, scratch, obs) {
+        let Some(p) = work.queue.pop_front() else {
             break;
+        };
+        let Some(victim) = rip_candidate_at(state, pins, p, work.rotation, &mut work.victims)
+        else {
+            continue; // stale: resolved meanwhile
+        };
+        work.rotation += 1;
+        stats.iterations += 1;
+        obs.counter(PHASE, Counter::Iterations, 1);
+        obs.counter(PHASE, Counter::CongestionHits, 1);
+        state.bump_history(p);
+        obs.counter(PHASE, Counter::CostDelta, state.params.history_step());
+        if reroute(state, netlist, victim, scratch) {
+            stats.reroutes += 1;
+            obs.counter(PHASE, Counter::Reroutes, 1);
+        } else {
+            stats.failures += 1;
+            obs.counter(PHASE, Counter::RerouteFailures, 1);
+        }
+        // Re-examine: overlaps of the victim's (new or reinstalled)
+        // route, and this point if still congested.
+        if let Some(route) = state.solution.route(victim) {
+            for &q in route.covered_points_sorted() {
+                if state.owners_of(q).len() > 1 {
+                    work.queue.push_back(q);
+                }
+            }
+        }
+        if state.owners_of(p).len() > 1 {
+            work.queue.push_back(p);
         }
     }
     (state.congested_points().is_empty(), stats)
@@ -623,10 +554,8 @@ pub fn tpl_violation_removal_budgeted(
         // Stale-entry check and victim selection.
         let victim = match viol {
             Violation::Congestion(p) => {
-                let mut victims = std::mem::take(&mut work.victims);
-                let candidate = rip_candidate_at(state, pins, p, work.rotation, &mut victims);
-                work.victims = victims;
-                let Some(v) = candidate else {
+                let Some(v) = rip_candidate_at(state, pins, p, work.rotation, &mut work.victims)
+                else {
                     continue;
                 };
                 obs.counter(PHASE, Counter::CongestionHits, 1);

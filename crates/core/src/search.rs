@@ -47,8 +47,7 @@
 //!   [`FLAT_SLOT_LIMIT`] switch from the flat arrays to lazily
 //!   allocated 32×32-track tile pages, so a full-grid escalation on a
 //!   million-net instance allocates memory proportional to the states
-//!   actually touched, not the window area — and a sharded worker
-//!   pool never pins per-worker full-grid scratch.
+//!   actually touched, not the window area.
 //!
 //! The 64-bit `key`/`unkey` state packing survives only as the
 //! open-set payload, where it keeps queue nodes at 16 bytes and gives

@@ -226,6 +226,28 @@ impl RouterState {
         Some(route)
     }
 
+    /// Installs a route with a persisted cost journal (checkpoint
+    /// restore): occupancy and via tracking as
+    /// [`RouterState::install_route`] does, but the journal is
+    /// replayed verbatim instead of recomputed, because recomputing it
+    /// against the restored state would depend on install order.
+    pub(crate) fn restore_route(&mut self, id: NetId, route: RoutedNet, journal: Vec<Delta>) {
+        self.view.add_route(id, &route);
+        for &via in route.vias() {
+            if !self.is_pin_via(via) {
+                self.add_via_tracking(via);
+            }
+        }
+        for d in &journal {
+            match d.map {
+                MapKind::Wire => self.wire_penalty[d.point] += d.amount,
+                MapKind::ViaLoc => self.via_penalty[d.point] += d.amount,
+            }
+        }
+        self.journals[id.index()] = journal;
+        self.solution.set_route(id, route);
+    }
+
     /// The feasible DVI candidates of a via of an installed route.
     pub fn feasible_dvics(&self, net: NetId, route: &RoutedNet, via: Via) -> Vec<Candidate> {
         Dir::PLANAR
@@ -457,100 +479,6 @@ impl RouterState {
     }
 }
 
-/// A route lifted out of the state by [`RouterState::suspend_route`],
-/// carrying its exact cost journal so [`RouterState::resume_route`]
-/// can restore the state byte-for-byte.
-///
-/// Unlike an uninstall/install round trip — which *recomputes* the
-/// journal against whatever the state looks like at reinstall time —
-/// a suspend/resume pair preserves the original `Delta` list, so the
-/// state after resume is identical to the state before suspend even
-/// if unrelated costs changed in between (they did not, when the
-/// caller guarantees disjoint footprints).
-#[derive(Debug)]
-pub struct SuspendedRoute {
-    route: RoutedNet,
-    journal: Vec<Delta>,
-}
-
-impl SuspendedRoute {
-    /// Rebuilds a suspension from a persisted route + journal pair
-    /// (checkpoint restore): [`RouterState::resume_route`] then
-    /// replays the journal verbatim, exactly as if the route had been
-    /// suspended in this process.
-    pub(crate) fn from_parts(route: RoutedNet, journal: Vec<Delta>) -> SuspendedRoute {
-        SuspendedRoute { route, journal }
-    }
-
-    /// Consumes the suspension, yielding the bare route (used when the
-    /// caller decides to *reinstall through the normal path* instead of
-    /// resuming, e.g. the serial reroute-failure fallback).
-    pub fn into_route(self) -> RoutedNet {
-        self.route
-    }
-
-    /// The suspended route.
-    pub fn route(&self) -> &RoutedNet {
-        &self.route
-    }
-}
-
-impl RouterState {
-    /// Lifts a route out of the state, preserving its cost journal.
-    ///
-    /// Cost maps, via tracking, and occupancy are reverted exactly as
-    /// [`RouterState::uninstall_route`] would; the difference is the
-    /// returned [`SuspendedRoute`] retains the journal so
-    /// [`RouterState::resume_route`] can put everything back without
-    /// recomputation.
-    pub fn suspend_route(&mut self, id: NetId) -> Option<SuspendedRoute> {
-        let route = self.solution.take_route(id)?;
-        let journal = std::mem::take(&mut self.journals[id.index()]);
-        for d in &journal {
-            match d.map {
-                MapKind::Wire => self.wire_penalty[d.point] -= d.amount,
-                MapKind::ViaLoc => self.via_penalty[d.point] -= d.amount,
-            }
-        }
-        for &via in route.vias() {
-            if !self.is_pin_via(via) {
-                self.remove_via_tracking(via);
-            }
-        }
-        self.view.remove_route(id, &route);
-        Some(SuspendedRoute { route, journal })
-    }
-
-    /// Puts a suspended route back, replaying its preserved journal.
-    ///
-    /// Exact inverse of [`RouterState::suspend_route`]: after the
-    /// call the state is byte-identical to the state before the
-    /// suspension (assuming no overlapping mutations in between).
-    pub fn resume_route(&mut self, id: NetId, suspended: SuspendedRoute) {
-        let SuspendedRoute { route, journal } = suspended;
-        self.view.add_route(id, &route);
-        for &via in route.vias() {
-            if !self.is_pin_via(via) {
-                self.add_via_tracking(via);
-            }
-        }
-        for d in &journal {
-            match d.map {
-                MapKind::Wire => self.wire_penalty[d.point] += d.amount,
-                MapKind::ViaLoc => self.via_penalty[d.point] += d.amount,
-            }
-        }
-        self.journals[id.index()] = journal;
-        self.solution.set_route(id, route);
-    }
-
-    /// Reverts one [`RouterState::bump_history`] at `p` (used when a
-    /// speculative wave is rolled back).
-    pub fn unbump_history(&mut self, p: GridPoint) {
-        self.history[p] -= self.params.history_step();
-    }
-}
-
 /// The fixed via stack + pad points contributed by a net's pins: one
 /// via per layer from the pin layer up to the first routing layer.
 fn pin_stub(grid: &RoutingGrid, net: &Net) -> RoutedNet {
@@ -619,36 +547,22 @@ mod tests {
     }
 
     #[test]
-    fn suspend_resume_round_trips_state_exactly() {
+    fn restore_with_the_install_journal_reproduces_install() {
         let (_nl, mut state) = setup();
         state.install_route(NetId(0), route_a());
         let wp = state.wire_penalty.clone();
         let vp = state.via_penalty.clone();
         let cc = state.conflict_count.clone();
-        let journal_len = state.journals[0].len();
-        let s = state.suspend_route(NetId(0)).unwrap();
-        assert_eq!(s.route(), &route_a());
-        // Everything reverted while suspended.
-        assert!(state.solution.route(NetId(0)).is_none());
-        assert!(state.journals[0].is_empty());
-        state.resume_route(NetId(0), s);
+        let journal = state.journals[0].clone();
+        assert!(!journal.is_empty());
+        state.uninstall_route(NetId(0));
+        state.restore_route(NetId(0), route_a(), journal.clone());
         assert_eq!(state.wire_penalty, wp);
         assert_eq!(state.via_penalty, vp);
         assert_eq!(state.conflict_count, cc);
-        // The journal is preserved verbatim, not recomputed.
-        assert_eq!(state.journals[0].len(), journal_len);
+        // The journal is kept verbatim, not recomputed.
+        assert_eq!(state.journals[0].len(), journal.len());
         assert_eq!(state.solution.route(NetId(0)), Some(&route_a()));
-    }
-
-    #[test]
-    fn unbump_reverts_bump() {
-        let (_nl, mut state) = setup();
-        let p = GridPoint::new(1, 5, 5);
-        let before = state.history[p];
-        state.bump_history(p);
-        assert_ne!(state.history[p], before);
-        state.unbump_history(p);
-        assert_eq!(state.history[p], before);
     }
 
     #[test]

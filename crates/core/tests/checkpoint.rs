@@ -9,9 +9,7 @@ use std::time::Duration;
 
 use benchgen::BenchSpec;
 use sadp_grid::{write_solution, Netlist, RouteError, RoutingGrid, SadpKind};
-use sadp_router::{
-    RouteBudget, RouterConfig, RoutingOutcome, RoutingSession, ShardParams, Termination,
-};
+use sadp_router::{RouteBudget, RouterConfig, RoutingOutcome, RoutingSession, Termination};
 use sadp_trace::{NoopObserver, RouteObserver};
 
 fn fingerprint(out: &RoutingOutcome) -> (String, [bool; 4], u64, u64) {
@@ -138,30 +136,25 @@ fn deadline_stopped_session_checkpoints_and_resumes() {
     assert_eq!(fingerprint(&out), fingerprint(&clean));
 }
 
-/// A checkpoint binds only the routing fields of its configuration: a
-/// snapshot taken under a non-default shard region on two threads
-/// restores under the default configuration on one thread and finishes
-/// to the uninterrupted fingerprint.
+/// The pool width is not part of a checkpoint: a snapshot taken on two
+/// threads restores on one thread and finishes to the uninterrupted
+/// fingerprint.
 #[test]
-fn checkpoint_restores_under_another_shard_region_and_thread_count() {
+fn checkpoint_restores_under_another_thread_count() {
     let (grid, netlist, config) = instance();
     let uninterrupted = RoutingSession::new(&grid, &netlist, config)
         .try_finish(&mut NoopObserver)
         .expect("routing flow");
-    let sharded = RouterConfig {
-        shard: ShardParams { region: 4 },
-        ..config
-    };
     let text = sadp_exec::with_threads(2, || {
-        let mut session = RoutingSession::new(&grid, &netlist, sharded);
+        let mut session = RoutingSession::new(&grid, &netlist, config);
         session.set_budget(RouteBudget::unlimited().with_max_phase_iters(5));
         step(&mut session, &mut NoopObserver);
         assert!(!session.converged(), "slice too large for this instance");
         session.checkpoint()
     });
     let restored = sadp_exec::with_threads(1, || {
-        let mut session = RoutingSession::restore(&grid, &netlist, config, &text)
-            .expect("restores under the default shard region");
+        let mut session =
+            RoutingSession::restore(&grid, &netlist, config, &text).expect("restores");
         session.set_budget(RouteBudget::unlimited());
         session.try_finish(&mut NoopObserver).expect("routing flow")
     });

@@ -12,9 +12,9 @@
 //!    cost maps (wire/via penalties, history) are intentionally warm
 //!    and excluded.
 //! 2. **Determinism** — the eco outcome fingerprint is identical
-//!    across execution-pool widths, shard-region sizes, and a
-//!    budget-interrupt/resume leg: the exec knobs tune *how*, never
-//!    *what*, and that extends to warm restarts.
+//!    across execution-pool widths and a budget-interrupt/resume leg:
+//!    the exec knobs tune *how*, never *what*, and that extends to
+//!    warm restarts.
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -27,7 +27,7 @@ use sadp_grid::{
 use sadp_router::budget::RouteBudget;
 use sadp_router::rnr::PinIndex;
 use sadp_router::state::RouterState;
-use sadp_router::{RouterConfig, RoutingOutcome, RoutingSession, ShardParams};
+use sadp_router::{RouterConfig, RoutingOutcome, RoutingSession};
 use sadp_trace::NoopObserver;
 
 /// The spec every test edits: a scaled-down paper circuit, big enough
@@ -257,18 +257,6 @@ fn eco_outcome_is_invariant_across_exec_knobs() {
     // Thread widths.
     let wide = sadp_exec::with_threads(4, || eco_run(base, false));
     assert_eq!(reference, fingerprint(&wide), "threads=4");
-
-    // Shard region sizes.
-    for region in [4, 16] {
-        let config = RouterConfig::builder(SadpKind::Sim)
-            .dvi(true)
-            .tpl(true)
-            .shard(ShardParams { region })
-            .build()
-            .expect("valid config");
-        let out = sadp_exec::with_threads(4, || eco_run(config, false));
-        assert_eq!(reference, fingerprint(&out), "shard region {region}");
-    }
 
     // Budget interrupt + resume mid-eco.
     let resumed = sadp_exec::with_threads(1, || eco_run(base, true));

@@ -2,8 +2,10 @@
 //!
 //! A small, dependency-free execution layer for the embarrassingly
 //! parallel parts of the system: the circuit × arm × SADP experiment
-//! matrix, per-via-layer index construction and audits, and per-net
-//! DVI candidate generation.
+//! matrix, per-via-layer index construction, coloring checks and
+//! audits, and per-net DVI candidate generation. The rip-up-and-reroute
+//! loops inside one routing instance are not among them: each reroute
+//! reads the costs the previous one wrote, so they run serially.
 //!
 //! The pool is a hand-rolled scoped-thread work-stealing scheduler
 //! (the workspace is offline, so no `rayon`/`crossbeam`): the task
@@ -223,65 +225,6 @@ where
     try_map_indexed(items.len(), |i| f(&items[i]))
 }
 
-/// Panic-containing fan-out with **per-worker mutable state**: the
-/// wave API used by intra-instance sharded rip-up-and-reroute.
-///
-/// `states` is a caller-owned pool of worker states (e.g. search
-/// scratch buffers). It is grown with `make` until it covers the pool
-/// width; worker `w` borrows `states[w]` exclusively for the duration
-/// of the call, and every task that worker executes receives that same
-/// `&mut S`. The serial inline path (width 1, or nested inside a pool
-/// worker) uses `states[0]`.
-///
-/// Determinism: results are merged in task-index order, so the return
-/// value is byte-identical to the serial loop for any thread count —
-/// the usual pool rule — while each task additionally gets scratch
-/// state reuse. Tasks must therefore not let results depend on *which*
-/// state they received (scratch buffers are reset per search, so this
-/// holds).
-///
-/// Each task runs under `catch_unwind` with the
-/// [`FAILPOINT_TASK_PANIC`] failpoint armed; a panicking task yields
-/// `Err(`[`TaskPanicked`]`)` for the lowest panicking index, with all
-/// other tasks still run to completion.
-pub fn try_map_with<S, R, F, M>(
-    tasks: usize,
-    states: &mut Vec<S>,
-    mut make: M,
-    f: F,
-) -> Result<Vec<R>, TaskPanicked>
-where
-    S: Send,
-    R: Send,
-    F: Fn(&mut S, usize) -> R + Sync,
-    M: FnMut() -> S,
-{
-    let g = |state: &mut S, i: usize| -> Result<R, TaskPanicked> {
-        catch_unwind(AssertUnwindSafe(|| {
-            faultinject::maybe_panic(FAILPOINT_TASK_PANIC);
-            f(state, i)
-        }))
-        .map_err(|payload| TaskPanicked {
-            task: i,
-            message: panic_message(payload.as_ref()),
-        })
-    };
-    let threads = thread_count().min(tasks.max(1));
-    if states.is_empty() {
-        states.push(make());
-    }
-    let results: Vec<Result<R, TaskPanicked>> = if threads <= 1 || in_worker() {
-        let state = &mut states[0];
-        (0..tasks).map(|i| g(state, i)).collect()
-    } else {
-        while states.len() < threads {
-            states.push(make());
-        }
-        run_pool_with(tasks, threads, &mut states[..threads], &g)
-    };
-    results.into_iter().collect()
-}
-
 /// The parallel path: chunked per-worker deques with ring-order
 /// stealing, worker-local result accumulation, index-sorted merge.
 fn run_pool<R, F>(tasks: usize, threads: usize, f: &F) -> Vec<R>
@@ -341,75 +284,6 @@ where
             .collect();
         // Re-raise the first worker panic with its original payload
         // (scope would otherwise wrap it in a generic message).
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-
-    let mut pairs = results.into_inner().expect("results poisoned");
-    debug_assert_eq!(pairs.len(), tasks, "every task produces one result");
-    pairs.sort_unstable_by_key(|&(i, _)| i);
-    pairs.into_iter().map(|(_, r)| r).collect()
-}
-
-/// [`run_pool`] with one exclusive `&mut S` handed to each worker
-/// (the parallel half of [`try_map_with`]).
-fn run_pool_with<S, R, F>(tasks: usize, threads: usize, states: &mut [S], f: &F) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    let chunk = (tasks / (threads * 4)).max(1);
-    let deques: Vec<Mutex<VecDeque<Range<usize>>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    let mut start = 0usize;
-    let mut dealt = 0usize;
-    while start < tasks {
-        let end = (start + chunk).min(tasks);
-        deques[dealt % threads]
-            .lock()
-            .expect("deque poisoned")
-            .push_back(start..end);
-        start = end;
-        dealt += 1;
-    }
-
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(tasks));
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = states
-            .iter_mut()
-            .enumerate()
-            .map(|(me, state)| {
-                let deques = &deques;
-                let results = &results;
-                scope.spawn(move || {
-                    IN_WORKER.with(|c| c.set(true));
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let own = deques[me].lock().expect("deque poisoned").pop_front();
-                        let range = match own {
-                            Some(r) => r,
-                            None => match (1..threads).find_map(|off| {
-                                deques[(me + off) % threads]
-                                    .lock()
-                                    .expect("deque poisoned")
-                                    .pop_back()
-                            }) {
-                                Some(r) => r,
-                                None => break,
-                            },
-                        };
-                        for i in range {
-                            local.push((i, f(state, i)));
-                        }
-                    }
-                    results.lock().expect("results poisoned").append(&mut local);
-                })
-            })
-            .collect();
         for h in handles {
             if let Err(payload) = h.join() {
                 std::panic::resume_unwind(payload);
@@ -564,63 +438,6 @@ mod tests {
         let items: Vec<i32> = (0..20).collect();
         let out = with_threads(4, || try_map(&items, |&x| x + 1)).unwrap();
         assert_eq!(out, (1..21).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn try_map_with_matches_serial_and_reuses_states() {
-        let serial: Vec<u64> = (0..97).map(|i| (i as u64) * 31 + 5).collect();
-        for threads in [1, 2, 4, 8] {
-            let mut states: Vec<u64> = Vec::new();
-            let out = with_threads(threads, || {
-                try_map_with(
-                    97,
-                    &mut states,
-                    || 0u64,
-                    |s, i| {
-                        // Worker-local state mutates freely without
-                        // affecting the (index-pure) result.
-                        *s += 1;
-                        (i as u64) * 31 + 5
-                    },
-                )
-            })
-            .unwrap();
-            assert_eq!(out, serial, "threads={threads}");
-            // The state pool grew to at most the pool width and saw
-            // every task exactly once in total.
-            assert!(states.len() <= threads.max(1));
-            assert_eq!(states.iter().sum::<u64>(), 97, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn try_map_with_contains_panics_at_lowest_index() {
-        for threads in [1, 4] {
-            let mut states: Vec<()> = Vec::new();
-            let err = with_threads(threads, || {
-                try_map_with(
-                    40,
-                    &mut states,
-                    || (),
-                    |_, i| {
-                        if i == 11 || i == 29 {
-                            panic!("wave task {i} died");
-                        }
-                        i
-                    },
-                )
-            })
-            .unwrap_err();
-            assert_eq!(err.task, 11, "threads={threads}");
-            assert_eq!(err.message, "wave task 11 died");
-        }
-    }
-
-    #[test]
-    fn try_map_with_zero_tasks_is_empty() {
-        let mut states: Vec<u8> = Vec::new();
-        let out = with_threads(4, || try_map_with(0, &mut states, || 0u8, |_, i| i)).unwrap();
-        assert!(out.is_empty());
     }
 
     // Injected `exec.task_panic` faults are exercised by the

@@ -151,6 +151,17 @@ impl JobSource {
         }
     }
 
+    /// The scale of a spec source (or of an eco base's spec) when it
+    /// is not finite. JSON has no number for it, so the journal could
+    /// not persist the request; `Service::submit` refuses it.
+    pub(crate) fn non_finite_scale(&self) -> Option<f64> {
+        match self {
+            JobSource::Spec { scale, .. } if !scale.is_finite() => Some(*scale),
+            JobSource::Eco { base, .. } => base.non_finite_scale(),
+            _ => None,
+        }
+    }
+
     /// Canonical text used for [`RouteRequest::run_id`] derivation and
     /// the executor's layout-cache key.
     pub(crate) fn canonical(&self, out: &mut String) {
@@ -275,10 +286,9 @@ impl RouteRequest {
         }
     }
 
-    /// The router configuration this request resolves to. The shard
-    /// region keeps its default and the pool width comes from
-    /// `sadp-exec` — both are output-invariant, so the request still
-    /// fully determines the routing result.
+    /// The router configuration this request resolves to. The pool
+    /// width comes from `sadp-exec` and is output-invariant, so the
+    /// request still fully determines the routing result.
     pub fn router_config(&self) -> Result<RouterConfig, ConfigError> {
         let (dvi, tpl) = match self.arm {
             Arm::Baseline => (false, false),

@@ -90,6 +90,11 @@ pub enum SubmitError {
     /// A durable service could not fsync the job's accept record to
     /// its journal; the job was rolled back and never existed.
     Journal(String),
+    /// The request cannot be journaled as written: a spec source (or
+    /// eco base) whose scale is not finite. Refused on every service,
+    /// durable or not, so a request is accepted or refused the same
+    /// way everywhere.
+    InvalidRequest(String),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -98,6 +103,7 @@ impl std::fmt::Display for SubmitError {
             SubmitError::ShuttingDown => f.write_str("service is shutting down"),
             SubmitError::QueueFull => f.write_str("job queue is full"),
             SubmitError::Journal(e) => write!(f, "journal write failed: {e}"),
+            SubmitError::InvalidRequest(e) => write!(f, "invalid request: {e}"),
         }
     }
 }
@@ -537,11 +543,17 @@ impl Service {
     ///
     /// # Errors
     ///
+    /// [`SubmitError::InvalidRequest`] for a non-finite spec scale,
     /// [`SubmitError::ShuttingDown`] after a shutdown began,
     /// [`SubmitError::QueueFull`] at the queue cap, and
     /// [`SubmitError::Journal`] when the accept record could not be
     /// made durable (the job is rolled back as if never submitted).
     pub fn submit(&self, request: RouteRequest) -> Result<JobId, SubmitError> {
+        if let Some(scale) = request.source.non_finite_scale() {
+            return Err(SubmitError::InvalidRequest(format!(
+                "scale {scale} is not finite"
+            )));
+        }
         let mut sched = self.lock();
         if sched.gate != Gate::Open {
             return Err(SubmitError::ShuttingDown);

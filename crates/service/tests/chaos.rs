@@ -1,8 +1,9 @@
 //! The acceptance chaos leg: a 500-job mixed load with the
-//! `exec.task_panic` failpoint armed. Worker panics inside sharded
-//! waves surface as contained `TaskPanicked` faults; the service must
-//! keep every job typed — completed, failed, or cancelled — and the
-//! daemon itself must neither panic nor hang.
+//! `exec.task_panic` failpoint armed. The failpoint fires in pool
+//! tasks, among them `ensure_colorable`'s per-layer `try_map_indexed`,
+//! whose panics surface as contained `TaskPanicked` faults; the service
+//! must keep every job typed — completed, failed, or cancelled — and
+//! the daemon itself must neither panic nor hang.
 //!
 //! Own test binary: fault plans are process-global.
 
@@ -13,8 +14,9 @@ use sadp_service::{
 
 #[test]
 fn mixed_load_survives_injected_worker_panics() {
-    // Sharded waves need a multi-thread pool; pin it so the failpoint
-    // is reachable regardless of the host's core count.
+    // Two pool threads, so the injected panics also unwind inside pool
+    // workers and not only on the inline serial path; pinned so the
+    // run does not depend on the host's core count.
     std::env::set_var("SADP_EXEC_THREADS", "2");
     let _faults = faultinject::arm(
         42,

@@ -322,6 +322,86 @@ fn fsync_failure_rolls_back_submit_with_typed_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A scale JSON has no number for (`1e999` reads as infinity) is
+/// refused at submit, before the journal append: the journal stays
+/// parsable, the valid job submitted next completes, and a restart
+/// over the same journal replays it. NaN, an eco base, and a plain
+/// service get the same typed refusal.
+#[test]
+fn non_finite_scale_is_refused_before_the_journal() {
+    let _g = lock();
+    let dir = tmp("nonfinite");
+    let (service, _) = Service::start_durable(cfg(1), DurabilityConfig::new(&dir)).unwrap();
+    let input = concat!(
+        r#"{"op":"submit","request":{"source":{"spec":"ecc","scale":1e999,"seed":1}}}"#,
+        "\n",
+        r#"{"op":"submit","request":{"source":{"synthetic":6,"seed":1}}}"#,
+        "\n",
+        r#"{"op":"wait","job":1}"#,
+        "\n",
+        r#"{"op":"shutdown"}"#,
+        "\n",
+    );
+    let mut output = Vec::new();
+    wire::serve(input.as_bytes(), &mut output, service).expect("in-memory transport");
+    let text = String::from_utf8(output).expect("utf8 protocol output");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "one response per request: {text}");
+    assert!(lines[0].contains(r#""ok":false"#), "{}", lines[0]);
+    assert!(lines[0].contains("not finite"), "{}", lines[0]);
+    assert!(lines[1].contains(r#""ok":true"#), "{}", lines[1]);
+    let wait = wire::parse(lines[2]).expect("valid wait response");
+    assert_eq!(wait.get("job").and_then(Value::as_u64), Some(1));
+    assert_eq!(
+        wait.get("outcome").and_then(Value::as_str),
+        Some("completed"),
+        "{}",
+        lines[2]
+    );
+    let fingerprint = wait
+        .get("fingerprint")
+        .and_then(Value::as_str)
+        .map(String::from);
+
+    let (service, report) = Service::start_durable(cfg(1), DurabilityConfig::new(&dir))
+        .expect("the journal holds only parsable records");
+    assert_eq!(report.replayed, vec![JobId(1)]);
+    let replay = service.wait(JobId(1)).expect("replayed job");
+    assert_eq!(
+        Some(format!("{:016x}", summary(&replay).fingerprint)),
+        fingerprint
+    );
+    for source in [
+        JobSource::Spec {
+            name: "ecc".into(),
+            scale: f64::NAN,
+            seed: 1,
+        },
+        JobSource::Eco {
+            base: Box::new(JobSource::Spec {
+                name: "ecc".into(),
+                scale: f64::INFINITY,
+                seed: 1,
+            }),
+            delta: "delnet 0\n".into(),
+        },
+    ] {
+        let request = RouteRequest::new(source, SadpKind::Sim);
+        assert!(matches!(
+            service.submit(request.clone()),
+            Err(SubmitError::InvalidRequest(_))
+        ));
+        let plain = Service::start(cfg(1));
+        assert!(matches!(
+            plain.submit(request),
+            Err(SubmitError::InvalidRequest(_))
+        ));
+        plain.shutdown();
+    }
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn torn_write_freezes_journal_and_recovery_keeps_prefix() {
     let _g = lock();

@@ -120,12 +120,6 @@ pub enum Counter {
     /// A phase stopped by a budget or iteration cap before it
     /// converged (see `sadp-router`'s `Termination`).
     BudgetStops,
-    /// A speculative parallel R&R wave executed (intra-instance
-    /// sharding; serial fallback steps count no wave).
-    Waves,
-    /// A speculative wave entry spilled to the serial fixup path
-    /// (window escalation needed, or speculation invalidated).
-    WaveSpills,
     /// Nets an ECO delta ripped for rerouting (the victim set).
     EcoVictims,
     /// Routed nets an ECO delta kept installed untouched.
@@ -150,8 +144,6 @@ impl Counter {
             Counter::AuditShorts => "audit_shorts",
             Counter::AuditFvpWindows => "audit_fvp_windows",
             Counter::BudgetStops => "budget_stops",
-            Counter::Waves => "waves",
-            Counter::WaveSpills => "wave_spills",
             Counter::EcoVictims => "eco_victims",
             Counter::EcoReused => "eco_reused",
         }

@@ -67,8 +67,7 @@ pub mod prelude {
     };
     pub use sadp_router::{
         full_audit, full_audit_observed, mask_audit, ConfigError, CostParams, FullAudit,
-        RouteBudget, RouteError, Router, RouterConfig, RoutingOutcome, RoutingSession, ShardParams,
-        Termination,
+        RouteBudget, RouteError, Router, RouterConfig, RoutingOutcome, RoutingSession, Termination,
     };
     pub use sadp_service::{
         outcome_fingerprint, Arm, JobBudget, JobEvent, JobId, JobOutcome, JobSource, Priority,

@@ -72,46 +72,6 @@ fn worker_panics_never_escape_any_arm() {
 }
 
 #[test]
-fn wave_panics_roll_back_and_never_poison_occupancy() {
-    let _g = lock();
-    let (grid, netlist) = tiny_instance();
-    for threads in [2usize, 4] {
-        sadp_exec::with_threads(threads, || {
-            // Leg 1: the contract holds while panics fire inside the
-            // sharded waves.
-            for p in [0.5, 1.0] {
-                let _f = faultinject::arm(42, FaultSpec::new().point("exec.task_panic", p));
-                assert_contract(&grid, &netlist, RouterConfig::full(SadpKind::Sim));
-            }
-            // Leg 2: a panicked wave rolls the state back to a valid
-            // between-iterations point — after disarming, the same
-            // session must still finish with a well-formed solution.
-            let mut session =
-                RoutingSession::try_new(&grid, &netlist, RouterConfig::full(SadpKind::Sim))
-                    .expect("inputs are valid");
-            {
-                let _f = faultinject::arm(7, FaultSpec::new().point("exec.task_panic", 1.0));
-                session.initial_route(&mut NoopObserver);
-                session.negotiate(&mut NoopObserver);
-            }
-            session
-                .solution()
-                .validate()
-                .expect("occupancy survives a rolled-back wave");
-            match session.try_finish(&mut NoopObserver) {
-                Ok(out) => out
-                    .solution
-                    .validate()
-                    .map(|_| ())
-                    .expect("finished solution is well-formed"),
-                Err(RouteError::TaskPanicked { .. }) => {}
-                Err(other) => panic!("unexpected error class: {other}"),
-            }
-        });
-    }
-}
-
-#[test]
 fn slow_phases_respect_the_deadline() {
     let _g = lock();
     let (grid, netlist) = tiny_instance();
