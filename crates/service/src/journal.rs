@@ -1,4 +1,4 @@
-//! The write-ahead job journal behind a durable [`Service`]: every
+//! The write-ahead job journal behind a durable [`Service`](crate::Service): every
 //! accepted request is appended — checksummed and fsynced — *before*
 //! `submit` returns its `JobId`, and every terminal response is
 //! appended when the job resolves, so a crash at any instant loses no
@@ -15,17 +15,18 @@
 //!
 //! The first frame's payload is the header line `sadpd-journal v1`;
 //! every later payload is one JSON record in the service's own wire
-//! grammar ([`crate::wire::parse`]):
+//! grammar, built as a [`Value`] and written by the one JSON writer:
 //!
 //! * `{"rec":"accept","job":N,"run_id":"<hex16>","request":{…}}` —
-//!   the canonical wire text of the request
-//!   ([`crate::wire::encode_request`]), written before `submit`
+//!   the canonical wire form of the request
+//!   ([`crate::wire::request_value`]), written before `submit`
 //!   returns.
-//! * `{"rec":"complete","job":N,"run_id":"<hex16>","outcome":…}` —
-//!   the deterministic fields of the terminal response (summary for
-//!   `completed`, kind + error for `failed`, nothing extra for
-//!   `cancelled`). The observability report is *not* journaled;
-//!   replayed responses carry a stub report tagged `journal_replay`.
+//! * `{"rec":"complete","job":N,"run_id":"<hex16>","outcome":…,"dropped_events":N}`
+//!   — the deterministic members of the terminal response that the
+//!   `wait` reply also carries (summary for `completed`, kind + error
+//!   for `failed`, nothing extra for `cancelled`). The observability
+//!   report is *not* journaled; replayed responses carry a stub report
+//!   tagged `journal_replay`.
 //! * `{"rec":"highwater","next":N}` — written by compaction so job-id
 //!   numbering survives even after retired records are dropped.
 //!
@@ -303,10 +304,11 @@ impl Journal {
         let tmp = self.path.with_extension("tmp");
         let mut frames = Vec::new();
         push_frame(&mut frames, JOURNAL_HEADER);
-        push_frame(
-            &mut frames,
-            &format!(r#"{{"rec":"highwater","next":{}}}"#, self.next_id),
-        );
+        let highwater = Value::obj([
+            ("rec", Value::from("highwater")),
+            ("next", self.next_id.into()),
+        ]);
+        push_frame(&mut frames, &highwater.to_string());
         for (id, request) in &self.pending {
             push_frame(&mut frames, &encode_accept(JobId(*id), request));
         }
@@ -533,61 +535,24 @@ fn record_identity(v: &Value) -> Result<(u64, u64), RouteError> {
 }
 
 fn encode_accept(id: JobId, request: &RouteRequest) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        r#"{{"rec":"accept","job":{},"run_id":"{:016x}","request":"#,
-        id.0,
-        request.run_id()
-    );
-    wire::encode_request(&mut out, request);
-    out.push('}');
-    out
+    Value::obj([
+        ("rec", Value::from("accept")),
+        ("job", id.0.into()),
+        ("run_id", wire::hex(request.run_id())),
+        ("request", wire::request_value(request)),
+    ])
+    .to_string()
 }
 
 fn encode_complete(resp: &RouteResponse) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        r#"{{"rec":"complete","job":{},"run_id":"{:016x}","outcome":"{}""#,
-        resp.job.0,
-        resp.run_id,
-        resp.outcome.name()
-    );
-    match &resp.outcome {
-        JobOutcome::Completed { summary, .. } => {
-            let _ = write!(
-                out,
-                concat!(
-                    r#","fingerprint":"{:016x}","routed_all":{},"congestion_free":{},"#,
-                    r#""fvp_free":{},"colorable":{},"termination":"{}","wirelength":{},"#,
-                    r#""vias":{},"nets":{}"#
-                ),
-                summary.fingerprint,
-                summary.routed_all,
-                summary.congestion_free,
-                summary.fvp_free,
-                summary.colorable,
-                summary.termination,
-                summary.wirelength,
-                summary.vias,
-                summary.nets,
-            );
-        }
-        JobOutcome::Failed { kind, error } => {
-            let _ = write!(
-                out,
-                r#","kind":"{}","error":"{}""#,
-                wire::escape(kind),
-                wire::escape(error)
-            );
-        }
-        JobOutcome::Cancelled => {}
-    }
-    let _ = write!(out, r#","dropped_events":{}}}"#, resp.dropped_events);
-    out
+    let head = [("rec", Value::from("complete")), ("job", resp.job.0.into())];
+    let tail = [("dropped_events", resp.dropped_events.into())];
+    Value::obj(
+        head.into_iter()
+            .chain(wire::response_fields(resp))
+            .chain(tail),
+    )
+    .to_string()
 }
 
 fn as_bool(v: &Value) -> Option<bool> {

@@ -1,6 +1,8 @@
 //! The deterministic JSON-lines protocol `sadpd` speaks, built on
 //! [`sadp_trace::json`] (re-exported here as [`Value`], [`parse`] and
-//! [`escape`]).
+//! [`escape`]). Requests decode from a [`Value`]; every reply, and
+//! every job-journal record, is a [`Value`] written by that module's
+//! one writer, so integers are exact over the whole `u64` range.
 //!
 //! One request object per input line, one response object per output
 //! line, fixed field order — byte-identical responses for identical
@@ -16,73 +18,87 @@
 //! ← {"ok":true,"op":"shutdown","jobs":1}
 //! ```
 
-use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
 use sadp_grid::SadpKind;
 pub use sadp_trace::json::{escape, parse, Value};
 
-use crate::job::{Arm, JobBudget, JobOutcome, JobSource, Priority, RouteRequest};
-use crate::service::{JobState, Service, ShutdownMode};
+use crate::job::{
+    Arm, JobBudget, JobEvent, JobOutcome, JobSource, Priority, RouteRequest, RouteResponse,
+};
+use crate::service::{Service, ShutdownMode};
 use crate::JobId;
 
-/// Encodes a request in its canonical wire form — fixed field order,
-/// the exact inverse of [`decode_request`]. This is the request text
-/// the job journal persists, so the encoding is append-only stable.
+/// Object members in wire order.
+pub(crate) type Fields = Vec<(&'static str, Value)>;
+
+/// A 64-bit id or hash as the 16 hex digits the wire carries.
+pub(crate) fn hex(n: u64) -> Value {
+    Value::Str(format!("{n:016x}"))
+}
+
+/// Appends the text of [`request_value`].
 pub fn encode_request(out: &mut String, req: &RouteRequest) {
-    out.push_str("{\"source\":");
-    encode_source(out, &req.source);
+    out.push_str(&request_value(req).to_string());
+}
+
+/// A request in its canonical wire form — fixed field order, the
+/// exact inverse of [`decode_request`]. This is the request the job
+/// journal persists, so the encoding is append-only stable.
+pub fn request_value(req: &RouteRequest) -> Value {
     let kind = match req.kind {
         SadpKind::Sim => "SIM",
         SadpKind::Sid => "SID",
         SadpKind::SimTrim => "SIM_TRIM",
     };
-    let _ = write!(out, r#","kind":"{kind}","arm":"{}""#, req.arm.name());
     let b = &req.budget;
-    if b.deadline_ms.is_some() || b.max_phase_iters.is_some() || b.max_expansions.is_some() {
-        out.push_str(",\"budget\":{");
-        let mut first = true;
-        let mut field = |out: &mut String, name: &str, v: Option<u64>| {
-            if let Some(v) = v {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, r#""{name}":{v}"#);
-            }
-        };
-        field(out, "deadline_ms", b.deadline_ms);
-        field(out, "max_phase_iters", b.max_phase_iters.map(|n| n as u64));
-        field(out, "max_expansions", b.max_expansions);
-        out.push('}');
+    let budget: Fields = [
+        ("deadline_ms", b.deadline_ms),
+        ("max_phase_iters", b.max_phase_iters.map(|n| n as u64)),
+        ("max_expansions", b.max_expansions),
+    ]
+    .into_iter()
+    .filter_map(|(name, v)| Some((name, v?.into())))
+    .collect();
+    let mut fields = vec![
+        ("source", source_value(&req.source)),
+        ("kind", kind.into()),
+        ("arm", req.arm.name().into()),
+    ];
+    if !budget.is_empty() {
+        fields.push(("budget", Value::obj(budget)));
     }
-    let _ = write!(out, r#","priority":"{}"}}"#, req.priority.name());
+    fields.push(("priority", req.priority.name().into()));
+    Value::obj(fields)
 }
 
-/// Encodes a source object (recursing one level for `eco` bases).
-fn encode_source(out: &mut String, source: &JobSource) {
+/// A source object (recursing one level for `eco` bases).
+fn source_value(source: &JobSource) -> Value {
     match source {
-        JobSource::Inline { layout } => {
-            let _ = write!(out, r#"{{"inline":"{}"}}"#, escape(layout));
-        }
-        JobSource::Spec { name, scale, seed } => {
-            // f64 Display is shortest-round-trip, so decode's
-            // `as_f64` reads back the identical scale.
-            let _ = write!(
-                out,
-                r#"{{"spec":"{}","scale":{scale},"seed":{seed}}}"#,
-                escape(name)
-            );
-        }
+        JobSource::Inline { layout } => Value::obj([("inline", layout.as_str().into())]),
+        // The writer prints an f64 shortest-round-trip, so decode's
+        // `as_f64` reads back the identical scale.
+        JobSource::Spec { name, scale, seed } => Value::obj([
+            ("spec", name.as_str().into()),
+            ("scale", (*scale).into()),
+            ("seed", (*seed).into()),
+        ]),
         JobSource::Synthetic { nets, seed } => {
-            let _ = write!(out, r#"{{"synthetic":{nets},"seed":{seed}}}"#);
+            Value::obj([("synthetic", (*nets).into()), ("seed", (*seed).into())])
         }
-        JobSource::Eco { base, delta } => {
-            out.push_str("{\"eco\":");
-            encode_source(out, base);
-            let _ = write!(out, r#","delta":"{}"}}"#, escape(delta));
-        }
+        JobSource::Eco { base, delta } => Value::obj([
+            ("eco", source_value(base)),
+            ("delta", delta.as_str().into()),
+        ]),
     }
+}
+
+/// The optional `u64` member `name` of `v`; present but not a `u64`
+/// is an error.
+fn opt_u64(v: &Value, name: &str) -> Result<Option<u64>, String> {
+    v.get(name)
+        .map(|x| x.as_u64().ok_or_else(|| format!("invalid {name}")))
+        .transpose()
 }
 
 /// Decodes a source object (recursing one level for `eco` bases).
@@ -99,20 +115,12 @@ fn decode_source(source: &Value) -> Result<JobSource, String> {
                 .map(|s| s.as_f64().ok_or("invalid scale"))
                 .transpose()?
                 .unwrap_or(1.0),
-            seed: source
-                .get("seed")
-                .map(|s| s.as_u64().ok_or("invalid seed"))
-                .transpose()?
-                .unwrap_or(1),
+            seed: opt_u64(source, "seed")?.unwrap_or(1),
         })
     } else if let Some(nets) = source.get("synthetic").and_then(Value::as_u64) {
         Ok(JobSource::Synthetic {
             nets: nets as usize,
-            seed: source
-                .get("seed")
-                .map(|s| s.as_u64().ok_or("invalid seed"))
-                .transpose()?
-                .unwrap_or(1),
+            seed: opt_u64(source, "seed")?.unwrap_or(1),
         })
     } else if let Some(base) = source.get("eco") {
         let delta = source
@@ -152,19 +160,9 @@ pub fn decode_request(v: &Value) -> Result<RouteRequest, String> {
     };
     let mut budget = JobBudget::unlimited();
     if let Some(b) = v.get("budget") {
-        budget.deadline_ms = b
-            .get("deadline_ms")
-            .map(|x| x.as_u64().ok_or("invalid deadline_ms"))
-            .transpose()?;
-        budget.max_phase_iters = b
-            .get("max_phase_iters")
-            .map(|x| x.as_u64().ok_or("invalid max_phase_iters"))
-            .transpose()?
-            .map(|n| n as usize);
-        budget.max_expansions = b
-            .get("max_expansions")
-            .map(|x| x.as_u64().ok_or("invalid max_expansions"))
-            .transpose()?;
+        budget.deadline_ms = opt_u64(b, "deadline_ms")?;
+        budget.max_phase_iters = opt_u64(b, "max_phase_iters")?.map(|n| n as usize);
+        budget.max_expansions = opt_u64(b, "max_expansions")?;
     }
     Ok(RouteRequest {
         source,
@@ -175,86 +173,142 @@ pub fn decode_request(v: &Value) -> Result<RouteRequest, String> {
     })
 }
 
-fn encode_status(out: &mut String, service: &Service, id: JobId, op: &str) {
-    match service.poll(id) {
-        None => {
-            let _ = write!(
-                out,
-                r#"{{"ok":false,"op":"{op}","error":"unknown job {id}"}}"#
-            );
-        }
-        Some(status) => {
-            let _ = write!(
-                out,
-                r#"{{"ok":true,"op":"{op}","job":{},"state":"{}""#,
-                id.0,
-                status.state.name()
-            );
-            if !status.events.is_empty() {
-                out.push_str(",\"events\":[");
-                for (i, ev) in status.events.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\"", escape(&ev.wire_name()));
-                }
-                out.push(']');
-            }
-            if let Some(resp) = &status.response {
-                encode_response_fields(out, resp);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn encode_response_fields(out: &mut String, resp: &crate::job::RouteResponse) {
-    let _ = write!(
-        out,
-        r#","run_id":"{:016x}","outcome":"{}""#,
-        resp.run_id,
-        resp.outcome.name()
-    );
+/// The deterministic members of a terminal response, in wire order:
+/// `run_id`, `outcome`, then a completed job's summary (`fingerprint`
+/// … `nets`) or a failed job's `kind` and `error`. The `wait`/`poll`
+/// reply and the journal's `complete` record both carry them.
+pub(crate) fn response_fields(resp: &RouteResponse) -> Fields {
+    let mut fields = vec![
+        ("run_id", hex(resp.run_id)),
+        ("outcome", resp.outcome.name().into()),
+    ];
     match &resp.outcome {
-        JobOutcome::Completed { summary, report } => {
-            let _ = write!(
-                out,
-                concat!(
-                    r#","fingerprint":"{:016x}","routed_all":{},"congestion_free":{},"#,
-                    r#""fvp_free":{},"colorable":{},"termination":"{}","wirelength":{},"#,
-                    r#""vias":{},"nets":{}"#
-                ),
-                summary.fingerprint,
-                summary.routed_all,
-                summary.congestion_free,
-                summary.fvp_free,
-                summary.colorable,
-                summary.termination,
-                summary.wirelength,
-                summary.vias,
-                summary.nets,
-            );
-            let _ = write!(out, r#","report":"{}""#, escape(&report.to_json()));
-        }
+        JobOutcome::Completed { summary: s, .. } => fields.extend([
+            ("fingerprint", hex(s.fingerprint)),
+            ("routed_all", s.routed_all.into()),
+            ("congestion_free", s.congestion_free.into()),
+            ("fvp_free", s.fvp_free.into()),
+            ("colorable", s.colorable.into()),
+            ("termination", s.termination.name().into()),
+            ("wirelength", s.wirelength.into()),
+            ("vias", s.vias.into()),
+            ("nets", s.nets.into()),
+        ]),
         JobOutcome::Failed { kind, error } => {
-            let _ = write!(
-                out,
-                r#","kind":"{}","error":"{}""#,
-                escape(kind),
-                escape(error)
-            );
+            fields.extend([
+                ("kind", kind.as_str().into()),
+                ("error", error.as_str().into()),
+            ]);
         }
         JobOutcome::Cancelled => {}
     }
-    if resp.dropped_events > 0 {
-        let _ = write!(out, r#","dropped_events":{}"#, resp.dropped_events);
+    fields
+}
+
+fn job_id(request: &Value) -> Result<JobId, String> {
+    request
+        .get("job")
+        .and_then(Value::as_u64)
+        .map(JobId)
+        .ok_or_else(|| "missing job id".into())
+}
+
+fn submit(svc: &Service, request: &Value) -> Result<Fields, String> {
+    let request = decode_request(request.get("request").ok_or("missing field: request")?)?;
+    let run_id = request.run_id();
+    let id = svc.submit(request).map_err(|e| e.to_string())?;
+    Ok(vec![("job", id.0.into()), ("run_id", hex(run_id))])
+}
+
+/// A `poll` reply, or a `wait` reply once the job is terminal.
+fn status(svc: &Service, op: &str, request: &Value) -> Result<Fields, String> {
+    let id = job_id(request)?;
+    let unknown = || format!("unknown job {id}");
+    if op == "wait" {
+        svc.wait(id).ok_or_else(unknown)?;
+    }
+    let status = svc.poll(id).ok_or_else(unknown)?;
+    let mut fields = vec![("job", id.0.into()), ("state", status.state.name().into())];
+    if !status.events.is_empty() {
+        let events: Vec<String> = status.events.iter().map(JobEvent::wire_name).collect();
+        fields.push(("events", events.into()));
+    }
+    if let Some(resp) = &status.response {
+        fields.extend(response_fields(resp));
+        if let JobOutcome::Completed { report, .. } = &resp.outcome {
+            fields.push(("report", report.to_json().into()));
+        }
+        if resp.dropped_events > 0 {
+            fields.push(("dropped_events", resp.dropped_events.into()));
+        }
+    }
+    Ok(fields)
+}
+
+fn stats(svc: &Service) -> Fields {
+    let s = svc.stats();
+    vec![
+        ("queued", s.queued.into()),
+        ("running", s.running.into()),
+        ("completed", s.completed.into()),
+        ("failed", s.failed.into()),
+        ("cancelled", s.cancelled.into()),
+        ("cache_hits", s.cache_hits.into()),
+        ("cache_misses", s.cache_misses.into()),
+        ("journal_live", s.journal_live.into()),
+    ]
+}
+
+/// The reply to one parsed request: `{"ok":true,"op":…,…}`, or the
+/// error reply of [`refusal`]. A `shutdown` op consumes the service;
+/// every later request is refused with "service is shut down".
+fn answer(service: &mut Option<Service>, request: &Value) -> Value {
+    let op = request.get("op").and_then(Value::as_str).unwrap_or("");
+    let fields = match service.as_ref() {
+        None => Err("service is shut down".to_string()),
+        Some(svc) => match op {
+            "submit" => submit(svc, request),
+            "poll" | "wait" => status(svc, op, request),
+            "cancel" => job_id(request)
+                .map(|id| vec![("job", id.0.into()), ("accepted", svc.cancel(id).into())]),
+            "stats" | "health" => Ok(stats(svc)),
+            "shutdown" => {
+                let mode = match request.get("mode").and_then(Value::as_str) {
+                    Some("now") => ShutdownMode::Now,
+                    _ => ShutdownMode::Drain,
+                };
+                let jobs = service.take().map_or(0, |svc| svc.shutdown_with(mode));
+                Ok(vec![("jobs", jobs.into())])
+            }
+            other => return refusal(None, format!("unknown op {other:?}")),
+        },
+    };
+    match fields {
+        Ok(fields) => Value::obj(
+            [("ok", true.into()), ("op", op.into())]
+                .into_iter()
+                .chain(fields),
+        ),
+        Err(error) => refusal(Some(op), error),
     }
 }
 
-/// Serves the JSON-lines protocol until EOF or a `shutdown` op, then
-/// returns the number of requests handled. The `sadpd` binary is a
-/// thin wrapper over this, so every protocol path is testable
-/// in-process with in-memory readers/writers.
+/// The one error reply, `{"ok":false,"op":…,"error":…}`; `op` is left
+/// out when the line did not parse or named no known op.
+fn refusal(op: Option<&str>, error: String) -> Value {
+    let op = op.map(|op| ("op", Value::from(op)));
+    Value::obj(
+        [("ok", false.into())]
+            .into_iter()
+            .chain(op)
+            .chain([("error", error.into())]),
+    )
+}
+
+/// Serves the JSON-lines protocol until EOF, then returns the number
+/// of requests handled. The `sadpd` binary is a thin wrapper over
+/// this, so every protocol path is testable in-process with in-memory
+/// readers/writers.
 ///
 /// # Errors
 ///
@@ -269,165 +323,18 @@ pub fn serve<R: BufRead, W: Write>(
     let mut service = Some(service);
     for line in reader.lines() {
         let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        let line = line.trim();
+        if line.is_empty() {
             continue;
         }
         handled += 1;
-        let mut out = String::new();
-        let mut shutdown_mode = None;
-        match parse(trimmed) {
-            Err(e) => {
-                let _ = write!(
-                    out,
-                    r#"{{"ok":false,"error":"{}"}}"#,
-                    escape(&e.to_string())
-                );
-            }
-            Ok(v) => {
-                let op = v.get("op").and_then(Value::as_str).unwrap_or("");
-                // After a shutdown op the service is gone but the
-                // connection may still carry requests; every one of
-                // them gets a typed protocol error, never a panic.
-                let Some(svc) = service.as_ref() else {
-                    let _ = write!(
-                        out,
-                        r#"{{"ok":false,"op":"{}","error":"service is shut down"}}"#,
-                        escape(op)
-                    );
-                    out.push('\n');
-                    writer.write_all(out.as_bytes())?;
-                    writer.flush()?;
-                    continue;
-                };
-                match op {
-                    "submit" => {
-                        match v.get("request").ok_or("missing field: request".to_string()) {
-                            Err(e) => {
-                                let _ = write!(
-                                    out,
-                                    r#"{{"ok":false,"op":"submit","error":"{}"}}"#,
-                                    escape(&e)
-                                );
-                            }
-                            Ok(req) => match decode_request(req) {
-                                Err(e) => {
-                                    let _ = write!(
-                                        out,
-                                        r#"{{"ok":false,"op":"submit","error":"{}"}}"#,
-                                        escape(&e)
-                                    );
-                                }
-                                Ok(request) => {
-                                    let run_id = request.run_id();
-                                    match svc.submit(request) {
-                                        Ok(id) => {
-                                            let _ = write!(
-                                                out,
-                                                r#"{{"ok":true,"op":"submit","job":{},"run_id":"{:016x}"}}"#,
-                                                id.0, run_id
-                                            );
-                                        }
-                                        Err(e) => {
-                                            let _ = write!(
-                                                out,
-                                                r#"{{"ok":false,"op":"submit","error":"{}"}}"#,
-                                                escape(&e.to_string())
-                                            );
-                                        }
-                                    }
-                                }
-                            },
-                        }
-                    }
-                    "poll" | "wait" => match v.get("job").and_then(Value::as_u64) {
-                        None => {
-                            let _ = write!(
-                                out,
-                                r#"{{"ok":false,"op":"{op}","error":"missing job id"}}"#
-                            );
-                        }
-                        Some(id) => {
-                            let id = JobId(id);
-                            if op == "wait" {
-                                // Block to terminal first, then encode
-                                // through the same poll path.
-                                if svc.wait(id).is_none() {
-                                    let _ = write!(
-                                        out,
-                                        r#"{{"ok":false,"op":"wait","error":"unknown job {id}"}}"#
-                                    );
-                                } else {
-                                    encode_status(&mut out, svc, id, op);
-                                }
-                            } else {
-                                encode_status(&mut out, svc, id, op);
-                            }
-                        }
-                    },
-                    "cancel" => match v.get("job").and_then(Value::as_u64) {
-                        None => {
-                            let _ = write!(
-                                out,
-                                r#"{{"ok":false,"op":"cancel","error":"missing job id"}}"#
-                            );
-                        }
-                        Some(id) => {
-                            let accepted = svc.cancel(JobId(id));
-                            let _ = write!(
-                                out,
-                                r#"{{"ok":true,"op":"cancel","job":{id},"accepted":{accepted}}}"#
-                            );
-                        }
-                    },
-                    "stats" | "health" => {
-                        let s = svc.stats();
-                        let _ = write!(
-                            out,
-                            concat!(
-                                r#"{{"ok":true,"op":"{}","queued":{},"running":{},"#,
-                                r#""completed":{},"failed":{},"cancelled":{},"#,
-                                r#""cache_hits":{},"cache_misses":{},"journal_live":{}}}"#
-                            ),
-                            op,
-                            s.queued,
-                            s.running,
-                            s.completed,
-                            s.failed,
-                            s.cancelled,
-                            s.cache_hits,
-                            s.cache_misses,
-                            s.journal_live,
-                        );
-                    }
-                    "shutdown" => {
-                        shutdown_mode = Some(
-                            match v.get("mode").and_then(Value::as_str).unwrap_or("drain") {
-                                "now" => ShutdownMode::Now,
-                                _ => ShutdownMode::Drain,
-                            },
-                        );
-                    }
-                    other => {
-                        let _ = write!(
-                            out,
-                            r#"{{"ok":false,"error":"unknown op {}"}}"#,
-                            escape(&format!("{other:?}"))
-                        );
-                    }
-                }
-            }
-        }
-        if let Some(mode) = shutdown_mode {
-            if let Some(svc) = service.take() {
-                let jobs = svc.shutdown_with(mode);
-                let _ = write!(out, r#"{{"ok":true,"op":"shutdown","jobs":{jobs}}}"#);
-            }
-            // Keep reading: later requests on the same connection are
-            // answered with "service is shut down" until EOF.
-        }
-        out.push('\n');
-        writer.write_all(out.as_bytes())?;
+        let reply = match parse(line) {
+            Ok(request) => answer(&mut service, &request),
+            Err(e) => refusal(None, e.to_string()),
+        };
+        let mut text = reply.to_string();
+        text.push('\n');
+        writer.write_all(text.as_bytes())?;
         writer.flush()?;
     }
     // EOF without a shutdown op: drain what was accepted.
@@ -435,11 +342,6 @@ pub fn serve<R: BufRead, W: Write>(
         svc.shutdown();
     }
     Ok(handled)
-}
-
-/// `true` when `state` is terminal on the wire.
-pub fn is_terminal(state: JobState) -> bool {
-    state == JobState::Done
 }
 
 #[cfg(test)]
@@ -512,7 +414,33 @@ mod tests {
         );
         inline.budget.max_phase_iters = Some(7);
         let plain = RouteRequest::new(JobSource::Synthetic { nets: 12, seed: 5 }, SadpKind::Sim);
-        for req in [eco, inline, plain] {
+        // Integers past 2^53 have no exact f64: they must survive as
+        // written, or the run_id and the routed layout change.
+        let past_f64 = (1u64 << 53) + 1;
+        let mut wide = RouteRequest::new(
+            JobSource::Synthetic {
+                nets: 12,
+                seed: past_f64,
+            },
+            SadpKind::Sim,
+        );
+        wide.budget.deadline_ms = Some(past_f64);
+        wide.budget.max_phase_iters = Some(usize::MAX);
+        wide.budget.max_expansions = Some(u64::MAX);
+        let mut widest = RouteRequest::new(
+            JobSource::Eco {
+                base: Box::new(JobSource::Spec {
+                    name: "ecc".into(),
+                    scale: 0.05,
+                    seed: u64::MAX,
+                }),
+                delta: "delnet 0\n".into(),
+            },
+            SadpKind::Sid,
+        );
+        widest.budget.deadline_ms = Some(u64::MAX);
+        widest.budget.max_expansions = Some(past_f64);
+        for req in [eco, inline, plain, wide, widest] {
             let mut text = String::new();
             encode_request(&mut text, &req);
             let v = parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));

@@ -151,3 +151,54 @@ fn wire_transcripts_are_byte_identical_across_runs() {
     }
     assert_eq!(transcripts[0], transcripts[1]);
 }
+
+/// A seed past 2^53 has no exact f64, so it only routes the same
+/// layout over the wire as through `Service::submit` if the wire's
+/// integers are exact.
+#[test]
+fn seeds_past_f64_precision_route_identically_over_the_wire() {
+    let request = RouteRequest::new(
+        JobSource::Synthetic {
+            nets: 40,
+            seed: 0x9E37_79B9_7F4A_7C15,
+        },
+        SadpKind::Sim,
+    );
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let id = service.submit(request.clone()).expect("accepts job");
+    let direct = service.wait(id).expect("known job");
+    service.shutdown();
+    let fingerprint = match direct.outcome {
+        JobOutcome::Completed { summary, .. } => summary.fingerprint,
+        other => panic!("expected Completed, got {}", other.name()),
+    };
+
+    let mut input = String::from(r#"{"op":"submit","request":"#);
+    wire::encode_request(&mut input, &request);
+    input.push_str("}\n{\"op\":\"wait\",\"job\":1}\n");
+    let mut output = Vec::new();
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    wire::serve(input.as_bytes(), &mut output, service).expect("in-memory transport");
+    let text = String::from_utf8(output).expect("utf8 protocol output");
+    let replies: Vec<Value> = text
+        .lines()
+        .map(|l| wire::parse(l).expect("valid reply"))
+        .collect();
+    assert_eq!(replies.len(), 2, "{text}");
+    assert_eq!(
+        replies[0].get("run_id").and_then(Value::as_str),
+        Some(format!("{:016x}", request.run_id()).as_str()),
+        "{text}"
+    );
+    assert_eq!(
+        replies[1].get("fingerprint").and_then(Value::as_str),
+        Some(format!("{fingerprint:016x}").as_str()),
+        "the wire routed another layout"
+    );
+}

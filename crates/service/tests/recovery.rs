@@ -249,6 +249,45 @@ fn warm_start_resumes_from_checkpoint_and_rejection_falls_back_cold() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A seed past 2^53 has no exact f64. The journal must hand the same
+/// seed back to a restart, or the accept record's run_id no longer
+/// matches its request and the service refuses to start.
+#[test]
+fn seeds_past_f64_precision_survive_a_restart() {
+    let _g = lock();
+    let req = synth(6, 0x9E37_79B9_7F4A_7C15, SadpKind::Sim);
+    let dir = tmp("wide-seed");
+    let (service, _) = Service::start_durable(cfg(1), DurabilityConfig::new(&dir)).unwrap();
+    let id = service.submit(req.clone()).unwrap();
+    let first = service.wait(id).unwrap();
+    let fingerprint = summary(&first).fingerprint;
+    service.shutdown();
+
+    // Replayed from its complete record.
+    let (service, report) =
+        Service::start_durable(cfg(1), DurabilityConfig::new(&dir)).expect("the journal replays");
+    assert_eq!(report.replayed, vec![id]);
+    let replay = service.wait(id).unwrap();
+    assert_eq!(replay.run_id, req.run_id());
+    assert_eq!(summary(&replay).fingerprint, fingerprint);
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Rerun from its accept record alone: the crash came first.
+    let dir = tmp("wide-seed-crash");
+    {
+        let (mut j, _, _) = Journal::open(&dir).unwrap();
+        j.append_accept(JobId(1), &req).unwrap();
+    }
+    let (service, report) =
+        Service::start_durable(cfg(1), DurabilityConfig::new(&dir)).expect("the journal replays");
+    assert_eq!(report.requeued, vec![JobId(1)]);
+    let rerun = service.wait(JobId(1)).unwrap();
+    assert_eq!(summary(&rerun).fingerprint, fingerprint);
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn torn_tail_requeues_prefix_and_reports_truncation() {
     let _g = lock();

@@ -6,8 +6,9 @@
 //!   [`MAX_DEPTH`] is a typed [`JsonError`], never a stack overflow.
 //! * [`Value`]'s `Display` writes compact text (the wire form);
 //!   [`Value::to_pretty`] writes indented text for files.
-//! * Numbers are `f64`: integers are exact up to 2^53, and a
-//!   non-finite number is written as `null`, so every written document
+//! * A non-negative integer is a [`Value::Int`], exact over the whole
+//!   `u64` range; any other number is an `f64` [`Value::Num`], and a
+//!   non-finite one is written as `null`, so every written document
 //!   parses back.
 
 use std::fmt::{self, Write as _};
@@ -22,15 +23,20 @@ pub const MAX_DEPTH: usize = 64;
 /// one line.
 const PRETTY_WIDTH: usize = 180;
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
+/// A parsed JSON value. Numbers compare by value, so `Num(3.0)`
+/// equals `Int(3)`: both are written `3`.
+#[derive(Debug, Clone)]
 pub enum Value {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number.
+    /// Any other number: one with a fraction, an exponent or a minus
+    /// sign, or an integer past `u64::MAX`.
     Num(f64),
+    /// A non-negative integer, exact over the whole `u64` range: what
+    /// [`parse`] reads from a plain digit run that fits.
+    Int(u64),
     /// A string (escapes decoded).
     Str(String),
     /// An array.
@@ -64,17 +70,21 @@ impl Value {
     /// The numeric payload as u64, if integral and in range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
+            Value::Int(n) => Some(*n),
+            // `u64::MAX as f64` is 2^64, the first float out of range.
+            Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric payload, if this is a number (rounded to the
+    /// nearest `f64` above 2^53).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
+            Value::Int(n) => Some(*n as f64),
             _ => None,
         }
     }
@@ -99,6 +109,9 @@ impl Value {
                 let _ = write!(out, "{n}");
             }
             Value::Num(_) => out.push_str("null"),
+            Value::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
             Value::Str(s) => write_str(out, s),
             Value::Arr(items) => {
                 out.push('[');
@@ -162,6 +175,24 @@ impl Value {
     }
 }
 
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Num(a), Value::Num(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Int(a), b @ Value::Num(_)) | (b @ Value::Num(_), Value::Int(a)) => {
+                b.as_u64() == Some(*a)
+            }
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Arr(a), Value::Arr(b)) => a == b,
+            (Value::Obj(a), Value::Obj(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
 /// Compact text: no whitespace at all.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -183,10 +214,10 @@ impl From<f64> for Value {
     }
 }
 
-/// Exact up to 2^53.
+/// Exact over the whole `u64` range.
 impl From<u64> for Value {
     fn from(n: u64) -> Value {
-        Value::Num(n as f64)
+        Value::Int(n)
     }
 }
 
@@ -205,7 +236,7 @@ impl From<i32> for Value {
 
 impl From<usize> for Value {
     fn from(n: usize) -> Value {
-        Value::Num(n as f64)
+        Value::Int(n as u64)
     }
 }
 
@@ -420,7 +451,11 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        self.text[start..self.pos]
+        let token = &self.text[start..self.pos];
+        if let Ok(n) = token.parse::<u64>() {
+            return Ok(Value::Int(n));
+        }
+        token
             .parse::<f64>()
             .map(Value::Num)
             .map_err(|_| JsonError::Syntax {
@@ -617,13 +652,14 @@ mod tests {
 
     /// A random tree whose containers nest at most `depth` deep.
     fn random_value(rng: &mut Rng, depth: usize) -> Value {
-        let kinds = if depth == 0 { 4 } else { 6 };
+        let kinds = if depth == 0 { 5 } else { 7 };
         match rng.below(kinds) {
             0 => Value::Null,
             1 => Value::Bool(rng.below(2) == 1),
             2 => Value::Num(random_number(rng)),
             3 => Value::Str(random_string(rng)),
-            4 => Value::Arr(
+            4 => Value::Int(rng.next() >> rng.below(64)),
+            5 => Value::Arr(
                 (0..rng.below(4))
                     .map(|_| random_value(rng, depth - 1))
                     .collect(),
@@ -663,6 +699,38 @@ mod tests {
                 assert_eq!(back, v, "{text}");
             }
         }
+    }
+
+    #[test]
+    fn integers_are_exact_over_the_u64_range() {
+        for n in [0, (1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let text = n.to_string();
+            let v = parse(&text).unwrap();
+            assert_eq!(v.as_u64(), Some(n), "{text}");
+            assert_eq!(v.to_string(), text);
+            assert_eq!(Value::from(n).to_string(), text);
+            assert_eq!(Value::from(vec![n]).to_pretty(), format!("[{text}]"));
+        }
+        // One past u64::MAX is still a number, but no u64.
+        let past = parse("18446744073709551616").unwrap();
+        assert_eq!(past.as_u64(), None);
+        assert_eq!(past.as_f64(), Some(2f64.powi(64)));
+        assert_eq!(Value::Num(2f64.powi(64)).as_u64(), None);
+        // as_f64 reads every number; integral floats still read as u64.
+        assert_eq!(parse("7").unwrap().as_f64(), Some(7.0));
+        assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
+        for not_u64 in ["-1", "0.5", "-0.5e1"] {
+            assert_eq!(parse(not_u64).unwrap().as_u64(), None, "{not_u64}");
+        }
+    }
+
+    #[test]
+    fn numbers_compare_by_value() {
+        assert_eq!(Value::Num(3.0), Value::Int(3));
+        assert_eq!(Value::Int(3), Value::Num(3.0));
+        assert_ne!(Value::Num(3.5), Value::Int(3));
+        assert_ne!(Value::Num(2f64.powi(64)), Value::Int(u64::MAX));
+        assert_ne!(Value::Int(0), Value::Null);
     }
 
     #[test]
