@@ -36,8 +36,8 @@ use sadp_trace::{Counter, JsonReport, Phase, RouteObserver};
 use crate::budget::{ActiveBudget, RouteBudget, Termination};
 use crate::costs::CostParams;
 use crate::rnr::{
-    ensure_colorable_budgeted, initial_routing_budgeted, negotiate_congestion_budgeted,
-    tpl_violation_removal_budgeted, CongestionWork, InitialWork, PinIndex, RnrStats, TplWork,
+    ensure_colorable, initial_routing, negotiate_congestion, tpl_violation_removal, CongestionWork,
+    InitialWork, PinIndex, RnrStats, TplWork,
 };
 use crate::search::SearchScratch;
 use crate::state::RouterState;
@@ -583,7 +583,7 @@ impl<'a> RoutingSession<'a> {
         let limits = self.budget.limits(usize::MAX);
         obs.phase_start(Phase::InitialRouting);
         faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
-        let t = initial_routing_budgeted(
+        let t = initial_routing(
             &mut self.state,
             self.netlist,
             limits,
@@ -607,7 +607,7 @@ impl<'a> RoutingSession<'a> {
         let limits = self.budget.limits(config_cap);
         obs.phase_start(Phase::CongestionNegotiation);
         faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
-        let (clean, stats) = negotiate_congestion_budgeted(
+        let (clean, stats) = negotiate_congestion(
             &mut self.state,
             self.netlist,
             &self.pins,
@@ -644,7 +644,7 @@ impl<'a> RoutingSession<'a> {
         let limits = self.budget.limits(config_cap);
         obs.phase_start(Phase::TplViolationRemoval);
         faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
-        let (clean, stats) = tpl_violation_removal_budgeted(
+        let (clean, stats) = tpl_violation_removal(
             &mut self.state,
             self.netlist,
             &self.pins,
@@ -675,7 +675,7 @@ impl<'a> RoutingSession<'a> {
         faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
         if self.config.consider_tpl {
             let limits = self.budget.limits(usize::MAX);
-            match ensure_colorable_budgeted(
+            match ensure_colorable(
                 &mut self.state,
                 self.netlist,
                 self.config.coloring_attempts,

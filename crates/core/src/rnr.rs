@@ -2,20 +2,17 @@
 //! the via-layer TPL violation removal of Algorithm 2, plus the final
 //! 3-colorability check with R&R fallback.
 //!
-//! Each phase comes in two flavors:
-//!
-//! * the original entry points ([`initial_routing`],
-//!   [`negotiate_congestion`], [`tpl_violation_removal`],
-//!   [`ensure_colorable`]) run one activation with an iteration cap
-//!   and fresh work state — the pre-budget behavior;
-//! * the `_budgeted` variants additionally take [`PhaseLimits`] and a
-//!   persistent work struct ([`InitialWork`] / [`CongestionWork`] /
-//!   [`TplWork`]), check the budget **between** iterations (before
-//!   popping the next violation, so nothing is lost), and leave the
-//!   work struct in a state a later activation resumes from — this is
-//!   what makes `RoutingSession` interruptible: a run stopped between
-//!   iterations and resumed with a fresh budget walks the exact same
-//!   iteration sequence as an uninterrupted run.
+//! Each phase (`initial_routing`, `negotiate_congestion`,
+//! `tpl_violation_removal`, `ensure_colorable`) is one crate-internal
+//! function that `RoutingSession` drives. It takes [`PhaseLimits`] and
+//! a persistent work struct ([`InitialWork`] / [`CongestionWork`] /
+//! [`TplWork`], or the coloring attempt count), checks the budget
+//! **between** iterations (before popping the next violation, so
+//! nothing is lost), and leaves the work struct in a state a later
+//! activation resumes from — this is what makes `RoutingSession`
+//! interruptible: a run stopped between iterations and resumed with a
+//! fresh budget walks the exact same iteration sequence as an
+//! uninterrupted run.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
@@ -203,33 +200,11 @@ impl InitialWork {
 }
 
 /// Routes every net once, in increasing-HPWL order, sharing one
-/// search scratch across all nets. Returns the nets that could not be
-/// routed at all (normally empty).
-pub fn initial_routing(
-    state: &mut RouterState,
-    netlist: &Netlist,
-    scratch: &mut SearchScratch,
-    obs: &mut impl RouteObserver,
-) -> Vec<NetId> {
-    let mut work = InitialWork::default();
-    let mut failed = Vec::new();
-    initial_routing_budgeted(
-        state,
-        netlist,
-        PhaseLimits::unlimited(),
-        &mut work,
-        &mut failed,
-        scratch,
-        obs,
-    );
-    failed
-}
-
-/// Budget-aware, resumable [`initial_routing`]: one iteration = one
-/// net. Unroutable nets are appended to `failed`. Returns how the
+/// search scratch across all nets; one iteration = one net.
+/// Unroutable nets are appended to `failed`. Returns how the
 /// activation stopped; on a budget stop, a later call continues with
 /// the next net in the same order.
-pub fn initial_routing_budgeted(
+pub(crate) fn initial_routing(
     state: &mut RouterState,
     netlist: &Netlist,
     limits: PhaseLimits,
@@ -346,33 +321,12 @@ pub struct CongestionWork {
 }
 
 /// Negotiated-congestion R&R: resolves shared routing resources until
-/// the solution is overlap-free or the iteration cap is hit.
-///
-/// Returns `(congestion_free, stats)`.
-pub fn negotiate_congestion(
-    state: &mut RouterState,
-    netlist: &Netlist,
-    pins: &PinIndex,
-    max_iters: usize,
-    scratch: &mut SearchScratch,
-    obs: &mut impl RouteObserver,
-) -> (bool, RnrStats) {
-    negotiate_congestion_budgeted(
-        state,
-        netlist,
-        pins,
-        PhaseLimits::iters_only(max_iters),
-        &mut CongestionWork::default(),
-        scratch,
-        obs,
-    )
-}
-
-/// Budget-aware, resumable [`negotiate_congestion`]. The queue is
-/// (re)seeded from the congested points only when `work` holds no
-/// pending violations — a non-empty queue means a previous activation
-/// was interrupted and is continued verbatim.
-pub fn negotiate_congestion_budgeted(
+/// the solution is overlap-free or the budget stops it. Returns
+/// `(congestion_free, stats)`. The queue is (re)seeded from the
+/// congested points only when `work` holds no pending violations — a
+/// non-empty queue means a previous activation was interrupted and is
+/// continued verbatim.
+pub(crate) fn negotiate_congestion(
     state: &mut RouterState,
     netlist: &Netlist,
     pins: &PinIndex,
@@ -482,33 +436,11 @@ impl TplWork {
 
 /// Via-layer TPL violation removal based R&R (Algorithm 2): blocks
 /// via locations that would create FVPs, then rips and reroutes nets
-/// until all FVPs (and any congestion) are gone.
-///
-/// Returns `(clean, stats)` where clean means congestion-free and
-/// FVP-free.
-pub fn tpl_violation_removal(
-    state: &mut RouterState,
-    netlist: &Netlist,
-    pins: &PinIndex,
-    max_iters: usize,
-    scratch: &mut SearchScratch,
-    obs: &mut impl RouteObserver,
-) -> (bool, RnrStats) {
-    tpl_violation_removal_budgeted(
-        state,
-        netlist,
-        pins,
-        PhaseLimits::iters_only(max_iters),
-        &mut TplWork::default(),
-        scratch,
-        obs,
-    )
-}
-
-/// Budget-aware, resumable [`tpl_violation_removal`]. Blocked-via
+/// until all FVPs (and any congestion) are gone. Returns `(clean,
+/// stats)` where clean means congestion-free and FVP-free. Blocked-via
 /// enforcement is enabled on the first activation only; the heap is
 /// (re)seeded from the current violations only when empty.
-pub fn tpl_violation_removal_budgeted(
+pub(crate) fn tpl_violation_removal(
     state: &mut RouterState,
     netlist: &Netlist,
     pins: &PinIndex,
@@ -667,36 +599,8 @@ pub fn tpl_violation_removal_budgeted(
 /// Checks 3-colorability of every via-layer decomposition graph
 /// (Welsh–Powell first, exact search on small suspicious components),
 /// ripping and rerouting nets with uncolorable vias when needed.
-///
-/// Returns `true` when every via layer is 3-colorable.
-///
-/// # Panics
-///
-/// Re-raises a worker-task panic from the per-layer coloring fan-out;
-/// use [`ensure_colorable_budgeted`] for the contained variant.
-pub fn ensure_colorable(
-    state: &mut RouterState,
-    netlist: &Netlist,
-    max_attempts: usize,
-    scratch: &mut SearchScratch,
-    obs: &mut impl RouteObserver,
-) -> bool {
-    let mut attempts_done = 0usize;
-    match ensure_colorable_budgeted(
-        state,
-        netlist,
-        max_attempts,
-        PhaseLimits::unlimited(),
-        &mut attempts_done,
-        scratch,
-        obs,
-    ) {
-        Ok((colorable, _)) => colorable,
-        Err(p) => panic!("{p}"),
-    }
-}
-
-/// Budget-aware, resumable, panic-contained [`ensure_colorable`].
+/// Returns whether every via layer is 3-colorable, and how the
+/// activation stopped.
 ///
 /// `attempts_done` persists across activations: the configured
 /// attempt count is spent once per session, not per activation. The
@@ -704,7 +608,7 @@ pub fn ensure_colorable(
 /// non-converged [`Termination`] so a later activation continues with
 /// the remaining attempts. A worker panic in the per-layer coloring
 /// fan-out is contained and returned as [`sadp_exec::TaskPanicked`].
-pub fn ensure_colorable_budgeted(
+pub(crate) fn ensure_colorable(
     state: &mut RouterState,
     netlist: &Netlist,
     max_attempts: usize,
@@ -817,6 +721,60 @@ mod tests {
         (nl, st)
     }
 
+    /// Routes every net in one unlimited activation; returns the nets
+    /// that failed.
+    fn route_all(st: &mut RouterState, nl: &Netlist, scratch: &mut SearchScratch) -> Vec<NetId> {
+        let mut failed = Vec::new();
+        initial_routing(
+            st,
+            nl,
+            PhaseLimits::unlimited(),
+            &mut InitialWork::default(),
+            &mut failed,
+            scratch,
+            &mut NoopObserver,
+        );
+        failed
+    }
+
+    /// One congestion activation from fresh work, capped at `iters`.
+    fn negotiate(
+        st: &mut RouterState,
+        nl: &Netlist,
+        pins: &PinIndex,
+        iters: usize,
+        scratch: &mut SearchScratch,
+    ) -> (bool, RnrStats) {
+        negotiate_congestion(
+            st,
+            nl,
+            pins,
+            PhaseLimits::iters_only(iters),
+            &mut CongestionWork::default(),
+            scratch,
+            &mut NoopObserver,
+        )
+    }
+
+    /// One TPL-removal activation from fresh work, capped at `iters`.
+    fn remove_fvps(
+        st: &mut RouterState,
+        nl: &Netlist,
+        pins: &PinIndex,
+        iters: usize,
+        scratch: &mut SearchScratch,
+    ) -> (bool, RnrStats) {
+        tpl_violation_removal(
+            st,
+            nl,
+            pins,
+            PhaseLimits::iters_only(iters),
+            &mut TplWork::default(),
+            scratch,
+            &mut NoopObserver,
+        )
+    }
+
     #[test]
     fn pin_index_patch_matches_rebuild() {
         let grid = RoutingGrid::three_layer(16, 16);
@@ -863,7 +821,7 @@ mod tests {
             24,
             24,
         );
-        let failed = initial_routing(&mut st, &nl, &mut SearchScratch::new(), &mut NoopObserver);
+        let failed = route_all(&mut st, &nl, &mut SearchScratch::new());
         assert!(failed.is_empty());
         assert_eq!(st.solution.routed_count(), 3);
         assert!(st.solution.connectivity_errors(&nl).is_empty());
@@ -886,7 +844,7 @@ mod tests {
         // Two nets per activation: 5 nets take three activations.
         let mut activations = 0;
         loop {
-            let t = initial_routing_budgeted(
+            let t = initial_routing(
                 &mut st,
                 &nl,
                 PhaseLimits::iters_only(2),
@@ -908,7 +866,7 @@ mod tests {
 
         // The resumed run routes the same nets as an uninterrupted one.
         let (nl2, mut st2) = build(nets, 24, 24);
-        let _ = initial_routing(&mut st2, &nl2, &mut SearchScratch::new(), &mut NoopObserver);
+        let _ = route_all(&mut st2, &nl2, &mut SearchScratch::new());
         for (id, _) in nl2.iter() {
             assert_eq!(st.solution.route(id), st2.solution.route(id), "{id:?}");
         }
@@ -927,10 +885,9 @@ mod tests {
         let (nl, mut st) = build(nets, 24, 24);
         let pins = PinIndex::build(&st.grid, &nl);
         let mut scratch = SearchScratch::new();
-        let failed = initial_routing(&mut st, &nl, &mut scratch, &mut NoopObserver);
+        let failed = route_all(&mut st, &nl, &mut scratch);
         assert!(failed.is_empty());
-        let (clean, _stats) =
-            negotiate_congestion(&mut st, &nl, &pins, 10_000, &mut scratch, &mut NoopObserver);
+        let (clean, _stats) = negotiate(&mut st, &nl, &pins, 10_000, &mut scratch);
         assert!(clean, "congestion not resolved");
         assert!(st.solution.shorts().is_empty());
         assert!(st.solution.connectivity_errors(&nl).is_empty());
@@ -951,12 +908,10 @@ mod tests {
         let (nl, mut st) = build(nets, 24, 24);
         let pins = PinIndex::build(&st.grid, &nl);
         let mut scratch = SearchScratch::new();
-        let failed = initial_routing(&mut st, &nl, &mut scratch, &mut NoopObserver);
+        let failed = route_all(&mut st, &nl, &mut scratch);
         assert!(failed.is_empty());
-        let (_c, _s) =
-            negotiate_congestion(&mut st, &nl, &pins, 10_000, &mut scratch, &mut NoopObserver);
-        let (clean, _stats) =
-            tpl_violation_removal(&mut st, &nl, &pins, 10_000, &mut scratch, &mut NoopObserver);
+        let (_c, _s) = negotiate(&mut st, &nl, &pins, 10_000, &mut scratch);
+        let (clean, _stats) = remove_fvps(&mut st, &nl, &pins, 10_000, &mut scratch);
         assert!(clean, "FVPs or congestion remain");
         for vl in 0..st.grid.via_layer_count() {
             assert!(st.fvp[vl as usize].fvp_windows().is_empty());
@@ -976,16 +931,20 @@ mod tests {
         );
         let pins = PinIndex::build(&st.grid, &nl);
         let mut scratch = SearchScratch::new();
-        initial_routing(&mut st, &nl, &mut scratch, &mut NoopObserver);
-        negotiate_congestion(&mut st, &nl, &pins, 1000, &mut scratch, &mut NoopObserver);
-        tpl_violation_removal(&mut st, &nl, &pins, 1000, &mut scratch, &mut NoopObserver);
-        assert!(ensure_colorable(
+        route_all(&mut st, &nl, &mut scratch);
+        negotiate(&mut st, &nl, &pins, 1000, &mut scratch);
+        remove_fvps(&mut st, &nl, &pins, 1000, &mut scratch);
+        let (colorable, _) = ensure_colorable(
             &mut st,
             &nl,
             3,
+            PhaseLimits::unlimited(),
+            &mut 0,
             &mut scratch,
-            &mut NoopObserver
-        ));
+            &mut NoopObserver,
+        )
+        .expect("no worker panic");
+        assert!(colorable);
     }
 
     /// An interrupted-and-resumed congestion phase walks the same
@@ -1008,7 +967,7 @@ mod tests {
             let (nl, mut st) = build(nets.clone(), 24, 24);
             let pins = PinIndex::build(&st.grid, &nl);
             let mut scratch = SearchScratch::new();
-            initial_routing(&mut st, &nl, &mut scratch, &mut NoopObserver);
+            route_all(&mut st, &nl, &mut scratch);
             // The cost-aware initial pass avoids overlaps on an open
             // grid, so build deterministic congestion by overlaying
             // three nets onto their neighbors' metal (real reroutes can
@@ -1027,7 +986,7 @@ mod tests {
             let mut work = CongestionWork::default();
             let mut acc = RnrStats::default();
             loop {
-                let (_, stats) = negotiate_congestion_budgeted(
+                let (_, stats) = negotiate_congestion(
                     &mut st,
                     &nl,
                     &pins,
