@@ -20,7 +20,7 @@
 //!   counter instead of zeroing the arrays; a slot whose stamp is not
 //!   the current epoch reads as "unvisited". Buffers are only ever
 //!   grown, never cleared.
-//! * **A\* ordering** — a consistent lower bound ([`Bound`]) turns
+//! * **A\* ordering** — a consistent lower bound (`Bound`) turns
 //!   Dijkstra into A*. Besides Manhattan distance and layer span it
 //!   charges a point on the target's layer for crossing that layer's
 //!   preferred axis: non-preferred steps or a via pair, whichever is
@@ -34,12 +34,12 @@
 //!   every in-window tree point is written into its slots as closed
 //!   for all seven incoming codes (cost 0, which no step can improve,
 //!   so the search never traverses the tree) and then opened as a
-//!   source whose parent byte is [`SOURCE_FLAG`] plus its arm mask.
+//!   source whose parent byte is `SOURCE_FLAG` plus its arm mask.
 //!   The expansion loop reads tree membership and branch-point arms
 //!   from the slot it already touches: no hashing per relax.
 //! * **Dial bucket-queue open set** — integer costs and a consistent
 //!   heuristic make the popped f-sequence monotone, so the open set is
-//!   a [`DialQueue`] (O(1) push, near-O(1) pop) instead of a binary
+//!   a `DialQueue` (O(1) push, near-O(1) pop) instead of a binary
 //!   heap. Its pop order is *identical* to the heap's, pinned by the
 //!   randomized differential in `bucket.rs` and the monotone-push
 //!   `debug_assert` in `DialQueue::push`.

@@ -177,7 +177,7 @@ fn owner_iter<'a, K>(slot: Option<&Slot>, spill: &'a [(K, Vec<NetId>)]) -> Owner
 /// [`LayoutView::remove_route`]. Multiple owners per point are
 /// tolerated (transient overlaps during negotiated routing).
 ///
-/// Storage is dense: one [`Slot`] per metal grid point and one per via
+/// Storage is dense: one `Slot` per metal grid point and one per via
 /// position. The overwhelmingly common case — a single owning net —
 /// is held inline in the slot, so `occupied_by_other` / `via_at` /
 /// owner enumeration are O(1) array reads; the rare shared cells spill

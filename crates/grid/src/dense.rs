@@ -45,7 +45,7 @@ impl<T: Clone> DenseGrid<T> {
     ///
     /// # Errors
     ///
-    /// [`RouteError::InvalidGrid`](crate::RouteError::InvalidGrid) on
+    /// [`RouteError::InvalidGrid`] on
     /// non-positive dimensions or a cell count over
     /// [`MAX_DENSE_CELLS`](crate::MAX_DENSE_CELLS).
     pub fn try_new(layers: u8, width: i32, height: i32, fill: T) -> Result<Self, RouteError> {
