@@ -19,7 +19,7 @@
 //!
 //! * `{"rec":"accept","job":N,"run_id":"<hex16>","request":{…}}` —
 //!   the canonical wire form of the request
-//!   ([`crate::wire::request_value`]), written before `submit`
+//!   ([`crate::wire::encode_request`]), written before `submit`
 //!   returns.
 //! * `{"rec":"complete","job":N,"run_id":"<hex16>","outcome":…,"dropped_events":N}`
 //!   — the deterministic members of the terminal response that the

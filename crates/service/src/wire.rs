@@ -37,15 +37,15 @@ pub(crate) fn hex(n: u64) -> Value {
     Value::Str(format!("{n:016x}"))
 }
 
-/// Appends the text of [`request_value`].
+/// Appends a request in its canonical wire form — fixed field order,
+/// the exact inverse of [`decode_request`]. This is the request the
+/// job journal persists, so the encoding is append-only stable.
 pub fn encode_request(out: &mut String, req: &RouteRequest) {
     out.push_str(&request_value(req).to_string());
 }
 
-/// A request in its canonical wire form — fixed field order, the
-/// exact inverse of [`decode_request`]. This is the request the job
-/// journal persists, so the encoding is append-only stable.
-pub fn request_value(req: &RouteRequest) -> Value {
+/// The [`Value`] that [`encode_request`] writes.
+pub(crate) fn request_value(req: &RouteRequest) -> Value {
     let kind = match req.kind {
         SadpKind::Sim => "SIM",
         SadpKind::Sid => "SID",
