@@ -230,11 +230,14 @@ impl<'a> RoutingSession<'a> {
         for p in &self.congestion_work.queue {
             out.push_str(&format!("cq {} {} {}\n", p.layer, p.x, p.y));
         }
+        // The third field repeats `enforce_blocked`: the line keeps
+        // its five fields so existing checkpoints stay readable and
+        // byte-identical, and restore checks that the two agree.
         out.push_str(&format!(
             "tpl {} {} {} {} {}\n",
             self.tpl_work.seq,
             self.tpl_work.rotation,
-            self.tpl_work.activated as u8,
+            self.state.enforce_blocked as u8,
             self.tpl_done as u8,
             self.tpl_clean as u8
         ));
@@ -426,7 +429,9 @@ impl<'a> RoutingSession<'a> {
         expect_key(&mut t, "tpl")?;
         let seq: u64 = parse_num(t.next(), "tpl seq")?;
         let rotation: usize = parse_num(t.next(), "tpl rotation")?;
-        let activated = parse_bool(t.next(), "tpl activated")?;
+        if parse_bool(t.next(), "tpl activated")? != enforce_blocked {
+            return Err(durability("tpl activated disagrees with enforce_blocked"));
+        }
         session.tpl_done = parse_bool(t.next(), "tpl done")?;
         session.tpl_clean = parse_bool(t.next(), "tpl clean")?;
         let l = lines.line()?;
@@ -440,7 +445,6 @@ impl<'a> RoutingSession<'a> {
         let mut twork = TplWork {
             seq,
             rotation,
-            activated,
             ..TplWork::default()
         };
         for _ in 0..n {
@@ -553,9 +557,6 @@ impl<'a> RoutingSession<'a> {
             }
         }
         session.state.enforce_blocked = enforce_blocked;
-        if enforce_blocked {
-            session.state.refresh_all_blocked();
-        }
         session.budget = ActiveBudget::unlimited();
         session.start = Instant::now();
 

@@ -325,19 +325,35 @@ mod tests {
     #[test]
     fn avoids_blocked_vias() {
         let (nl, mut st) = state_with(vec![Net::new("a", vec![Pin::new(4, 4), Pin::new(10, 10)])]);
-        // Block everything on via layer 1 except a corridor at x=9.
-        st.enforce_blocked = true;
-        for x in 0..24 {
-            for y in 0..24 {
-                if x != 9 {
-                    st.blocked[GridPoint::new(1, x, y)] = true;
-                }
-            }
+        let free = route(&st, NetId(0), &nl[NetId(0)]).expect("routable");
+        // The net's cheapest via site on via layer 1.
+        let site = *free
+            .vias()
+            .iter()
+            .find(|v| v.below == 1)
+            .expect("the free route climbs to M3");
+        // An FVP-threatening cluster below the site (the Fig. 7(d)
+        // shape of `blocked_vias_are_refused_when_enforced`): one more
+        // via at the site completes four vias with no diagonal corner
+        // pair. Only the FVP index holds it, so the via costs of the
+        // unenforced search do not move.
+        for (dx, dy) in [(-1, -2), (1, -2), (0, -1)] {
+            st.fvp[1].add_via(site.x + dx, site.y + dy);
         }
+        assert!(st.fvp[1].would_create_fvp(site.x, site.y));
+        let unenforced = route(&st, NetId(0), &nl[NetId(0)]).expect("routable");
+        assert!(
+            unenforced.vias().contains(&site),
+            "unenforced route leaves {site}"
+        );
+        st.enforce_blocked = true;
         let r = route(&st, NetId(0), &nl[NetId(0)]).expect("routable");
         for v in r.vias() {
             if v.below == 1 {
-                assert_eq!(v.x, 9, "via outside corridor: {v}");
+                assert!(
+                    !st.fvp[1].would_create_fvp(v.x, v.y),
+                    "via on a blocked site: {v}"
+                );
             }
         }
     }

@@ -1024,15 +1024,9 @@ impl<'a> RoutingSession<'a> {
         self.congestion_term = None;
         self.congestion_done = false;
         self.congestion_clean = false;
-        // If blocked-via enforcement already activated, the blocked
-        // grid stayed exact through the per-via incremental refreshes
-        // above — skip re-running the O(grid) full refresh on the next
-        // TPL activation.
-        self.tpl_work = if self.state.enforce_blocked {
-            TplWork::already_activated()
-        } else {
-            TplWork::default()
-        };
+        // Blocked-via enforcement, once on, stays on: the FVP indexes
+        // answer every via location from the patched state.
+        self.tpl_work = TplWork::default();
         self.tpl_term = None;
         self.tpl_done = false;
         self.tpl_clean = false;

@@ -405,41 +405,25 @@ impl Violation {
 
 /// Resumable progress of the TPL violation-removal phase: the
 /// priority heap, its tie-break sequence counter, and the rotation
-/// survive a budget stop. `activated` remembers that blocked-via
-/// enforcement was already switched on, so a resume does not re-run
-/// `refresh_all_blocked` mid-phase (that would diverge from an
-/// uninterrupted run).
+/// survive a budget stop. Whether blocked-via enforcement is on lives
+/// in [`RouterState::enforce_blocked`], not here.
 #[derive(Debug, Clone, Default)]
 pub struct TplWork {
     pub(crate) heap: BinaryHeap<Reverse<(u8, u64, Violation)>>,
     pub(crate) seq: u64,
     pub(crate) rotation: usize,
-    pub(crate) activated: bool,
     /// Reused rip-candidate buffer (no per-iteration allocation).
     pub(crate) victims: Vec<NetId>,
-}
-
-impl TplWork {
-    /// Fresh work that remembers blocked-via enforcement is already
-    /// on. Used by ECO warm restarts: once a session's first TPL
-    /// activation has run `refresh_all_blocked`, every later via
-    /// install/uninstall keeps the blocked grid exact through
-    /// `refresh_blocked_around`, so re-activating with a full-grid
-    /// refresh would recompute identical values at O(grid) cost.
-    pub(crate) fn already_activated() -> TplWork {
-        TplWork {
-            activated: true,
-            ..TplWork::default()
-        }
-    }
 }
 
 /// Via-layer TPL violation removal based R&R (Algorithm 2): blocks
 /// via locations that would create FVPs, then rips and reroutes nets
 /// until all FVPs (and any congestion) are gone. Returns `(clean,
-/// stats)` where clean means congestion-free and FVP-free. Blocked-via
-/// enforcement is enabled on the first activation only; the heap is
-/// (re)seeded from the current violations only when empty.
+/// stats)` where clean means congestion-free and FVP-free. Blocking
+/// is a flag: the FVP indexes answer each via location in O(1), so
+/// switching it on costs nothing and it stays on for the rest of the
+/// session. The heap is (re)seeded from the current violations only
+/// when empty.
 pub(crate) fn tpl_violation_removal(
     state: &mut RouterState,
     netlist: &Netlist,
@@ -450,11 +434,7 @@ pub(crate) fn tpl_violation_removal(
     obs: &mut impl RouteObserver,
 ) -> (bool, RnrStats) {
     const PHASE: Phase = Phase::TplViolationRemoval;
-    if !work.activated {
-        state.enforce_blocked = true;
-        state.refresh_all_blocked();
-        work.activated = true;
-    }
+    state.enforce_blocked = true;
 
     let mut stats = RnrStats::default();
     let push =

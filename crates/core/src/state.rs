@@ -1,6 +1,7 @@
 //! Mutable router state: the evolving solution, occupancy view, cost
-//! maps, FVP indices, blocked via locations, and the per-net cost
-//! journals implementing Algorithm 1.
+//! maps, FVP indices (which also answer the blocked via locations of
+//! Algorithm 2), and the per-net cost journals implementing
+//! Algorithm 1.
 
 use std::collections::HashSet;
 
@@ -69,14 +70,14 @@ pub struct RouterState {
     /// Number of existing vias within same-color pitch of each via
     /// location (drives TPLC).
     pub conflict_count: DenseGrid<i64>,
-    /// Via locations blocked because an insertion would create an FVP
-    /// (Algorithm 2).
-    pub blocked: DenseGrid<bool>,
     /// Metal points blocked for wiring by layout blockages (ECO
-    /// edits). Unlike `blocked`, these are hard obstacles: the path
-    /// search never occupies them, independent of `enforce_blocked`.
+    /// edits). Unlike FVP-blocked via locations, these are hard
+    /// obstacles: the path search never occupies them, independent of
+    /// `enforce_blocked`.
     pub wire_blocked: DenseGrid<bool>,
-    /// Enforce `blocked` during path search (phase 2).
+    /// Refuse via locations where one more via would create an FVP
+    /// ([`FvpIndex::would_create_fvp`]) during path search (phase 2,
+    /// Algorithm 2).
     pub enforce_blocked: bool,
     /// FVP index per via layer.
     pub fvp: Vec<FvpIndex>,
@@ -107,7 +108,6 @@ impl RouterState {
             wire_penalty: DenseGrid::new(metal_layers, w, h, 0),
             via_penalty: DenseGrid::new(via_layers, w, h, 0),
             conflict_count: DenseGrid::new(via_layers, w, h, 0),
-            blocked: DenseGrid::new(via_layers, w, h, false),
             wire_blocked: DenseGrid::new(metal_layers, w, h, false),
             enforce_blocked: false,
             fvp: (0..via_layers)
@@ -154,7 +154,6 @@ impl RouterState {
                 *c += 1;
             }
         }
-        self.refresh_blocked_around(vl, via.x, via.y);
     }
 
     fn remove_via_tracking(&mut self, via: Via) {
@@ -164,37 +163,6 @@ impl RouterState {
             let p = GridPoint::new(vl, via.x + dx, via.y + dy);
             if let Some(c) = self.conflict_count.get_mut(p) {
                 *c -= 1;
-            }
-        }
-        self.refresh_blocked_around(vl, via.x, via.y);
-    }
-
-    /// Recomputes the blocked flags in the window around a changed
-    /// via.
-    pub fn refresh_blocked_around(&mut self, vl: u8, x: i32, y: i32) {
-        if !self.consider_tpl {
-            return;
-        }
-        for dx in -2..=2 {
-            for dy in -2..=2 {
-                let p = GridPoint::new(vl, x + dx, y + dy);
-                if self.blocked.contains(p) {
-                    let b = self.fvp[vl as usize].would_create_fvp(p.x, p.y);
-                    self.blocked[p] = b;
-                }
-            }
-        }
-    }
-
-    /// Recomputes all blocked flags (start of the TPL R&R phase,
-    /// Algorithm 2 line 2).
-    pub fn refresh_all_blocked(&mut self) {
-        for vl in 0..self.grid.via_layer_count() {
-            for x in 0..self.grid.width() {
-                for y in 0..self.grid.height() {
-                    let b = self.fvp[vl as usize].would_create_fvp(x, y);
-                    self.blocked[GridPoint::new(vl, x, y)] = b;
-                }
             }
         }
     }
@@ -365,10 +333,10 @@ impl RouterState {
     /// Cost of placing a via at `(vl, x, y)` while routing `net`, or
     /// `None` when the location is blocked (Algorithm 2).
     pub fn via_cost(&self, vl: u8, x: i32, y: i32) -> Option<i64> {
-        let p = GridPoint::new(vl, x, y);
-        if self.enforce_blocked && self.blocked[p] {
+        if self.enforce_blocked && self.fvp[usize::from(vl)].would_create_fvp(x, y) {
             return None;
         }
+        let p = GridPoint::new(vl, x, y);
         let mut cost = self.params.via_step() + self.via_penalty[p];
         if self.consider_tpl {
             cost += self.params.tplc(self.conflict_count[p]);
@@ -469,7 +437,6 @@ impl RouterState {
                         *c -= 1;
                     }
                 }
-                self.refresh_blocked_around(vl, via.x, via.y);
             } else {
                 self.remove_via_tracking(via);
                 self.pin_vias.remove(&(via.x, via.y));
@@ -591,7 +558,6 @@ mod tests {
         for &(x, y) in &[(4, 4), (6, 4), (5, 5)] {
             state.add_via_tracking(Via::new(1, x, y));
         }
-        state.refresh_all_blocked();
         // (5,6) would complete a 4-via pattern without a diagonal
         // corner pair -> blocked.
         assert!(state.fvp[1].would_create_fvp(5, 6));
@@ -599,6 +565,88 @@ mod tests {
         state.enforce_blocked = true;
         assert!(state.via_cost(1, 5, 6).is_none());
         assert!(state.via_cost(1, 10, 10).is_some());
+    }
+
+    /// Whether one more via at `(x, y)` on via layer `vl` makes a 3×3
+    /// window an FVP: the nine windows are read from the occupancy
+    /// view and classified one by one, sharing nothing with the FVP
+    /// index.
+    fn rescan_blocked(state: &RouterState, vl: u8, x: i32, y: i32) -> bool {
+        let (w, h) = (state.grid.width(), state.grid.height());
+        let origins = |c: i32, n: i32| (c - 2).max(0)..=c.min(n - 3);
+        origins(x, w)
+            .flat_map(|ox| origins(y, h).map(move |oy| (ox, oy)))
+            .any(|(ox, oy)| {
+                let mut vias = vec![(x - ox, y - oy)];
+                for dx in 0..3 {
+                    for dy in 0..3 {
+                        if state.view.via_at(vl, ox + dx, oy + dy) {
+                            vias.push((dx, dy));
+                        }
+                    }
+                }
+                tpl_decomp::window_is_fvp(&vias)
+            })
+    }
+
+    /// Asserts that `via_cost` refuses exactly the via locations the
+    /// window rescan blocks, everywhere on the grid; returns how many
+    /// there are.
+    fn assert_blocking_matches_rescan(state: &RouterState, what: &str) -> usize {
+        assert!(state.enforce_blocked);
+        let mut blocked = 0;
+        for vl in 0..state.grid.via_layer_count() {
+            for x in 0..state.grid.width() {
+                for y in 0..state.grid.height() {
+                    let rescan = rescan_blocked(state, vl, x, y);
+                    assert_eq!(
+                        state.via_cost(vl, x, y).is_none(),
+                        rescan,
+                        "{what} at v{vl} ({x}, {y})"
+                    );
+                    blocked += usize::from(rescan);
+                }
+            }
+        }
+        blocked
+    }
+
+    /// After the TPL phase of a SIM and a SID benchmark instance,
+    /// `via_cost` refuses exactly the via locations the window rescan
+    /// blocks; and again once every other net is ripped up, which
+    /// takes vias out of blocking windows, and once those routes are
+    /// back.
+    #[test]
+    fn via_cost_refuses_exactly_the_rescanned_sites() {
+        use crate::{RouterConfig, RoutingSession};
+        use benchgen::BenchSpec;
+        for (kind, circuit) in [(SadpKind::Sim, "alu"), (SadpKind::Sid, "div")] {
+            let spec = BenchSpec::paper_suite()
+                .into_iter()
+                .find(|s| s.name == circuit)
+                .unwrap()
+                .scaled(0.1);
+            let (grid, nl) = (spec.grid(), spec.generate(1));
+            let mut session =
+                RoutingSession::try_new(&grid, &nl, RouterConfig::full(kind)).unwrap();
+            session.tpl_removal(&mut sadp_trace::NoopObserver);
+            let what = format!("{circuit} {kind:?}");
+            let blocked = assert_blocking_matches_rescan(session.state(), &what);
+            assert!(blocked > 0, "{what}: no blocked site");
+            let state = &mut session.state;
+            let ripped: Vec<(NetId, RoutedNet)> = nl
+                .iter()
+                .step_by(2)
+                .filter_map(|(id, _)| Some((id, state.uninstall_route(id)?)))
+                .collect();
+            let after_rip = assert_blocking_matches_rescan(state, &format!("{what} ripped"));
+            assert!(after_rip < blocked, "{what}: the rip-up unblocked nothing");
+            for (id, route) in ripped {
+                state.install_route(id, route);
+            }
+            let restored = assert_blocking_matches_rescan(state, &format!("{what} restored"));
+            assert_eq!(restored, blocked, "{what}");
+        }
     }
 
     #[test]

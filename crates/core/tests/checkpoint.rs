@@ -245,18 +245,38 @@ fn simulated_replay_rejects_tampered_solution() {
     let mut tampered = format!("{head}{marker}{}\n{tampered_sol}", tampered_sol.len());
     // Trim the leading '\n' duplication: head already ends without it.
     tampered = tampered.replacen("\n\nsolution", "\nsolution", 1);
-    let sum = {
-        // FNV-1a, matching the checkpoint frame.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in tampered.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    };
-    let framed = format!("{tampered}checksum {sum:016x}\n");
     expect_durability(
-        RoutingSession::restore(&grid, &netlist, config, &framed),
+        RoutingSession::restore(&grid, &netlist, config, &signed(&tampered)),
         "replay mismatch",
     );
+}
+
+/// `body` framed with its valid checksum line (FNV-1a, matching the
+/// checkpoint frame).
+fn signed(body: &str) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in body.as_bytes() {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{body}checksum {h:016x}\n")
+}
+
+/// The `tpl` line repeats `enforce_blocked`; a validly signed
+/// checkpoint where the two disagree is refused.
+#[test]
+fn tpl_line_disagreeing_with_enforce_blocked_is_rejected() {
+    let (grid, netlist, config, text) = mid_run_checkpoint();
+    let (body, _) = text.rsplit_once("checksum ").expect("framed");
+    assert!(
+        body.contains("\nenforce_blocked 0\n"),
+        "run still unenforced"
+    );
+    let flipped = body.replacen("\nenforce_blocked 0\n", "\nenforce_blocked 1\n", 1);
+    expect_durability(
+        RoutingSession::restore(&grid, &netlist, config, &signed(&flipped)),
+        "tpl activated disagrees",
+    );
+    // The untouched body, re-signed, still restores.
+    assert!(RoutingSession::restore(&grid, &netlist, config, &signed(body)).is_ok());
 }

@@ -130,40 +130,31 @@ impl<'p> HeurState<'p> {
     }
 
     /// How many currently-valid candidates of *other* vias would be
-    /// FVP-killed by inserting `c`.
-    fn killed_count(&mut self, c: u32) -> i64 {
+    /// FVP-killed by inserting `c`: a read-only query of the FVP index
+    /// with `c`'s location as the one extra via.
+    fn killed_count(&self, c: u32) -> i64 {
         let cand = &self.problem.candidates()[c as usize];
         let (layer, (cx, cy)) = (cand.via_layer, cand.loc);
-        let via_idx = cand.via_idx;
-        // Collect nearby candidates that are currently valid.
-        let mut nearby: Vec<u32> = Vec::new();
+        let idx = &self.fvp[usize::from(layer)];
+        let mut killed = 0;
         for dx in -2..=2 {
             for dy in -2..=2 {
                 for o in self.cand_by_loc.at(layer, cx + dx, cy + dy) {
+                    let oc = &self.problem.candidates()[o as usize];
                     if o != c
-                        && self.problem.candidates()[o as usize].via_idx != via_idx
+                        && oc.via_idx != cand.via_idx
                         && self.is_valid(o)
+                        && idx.would_create_fvp_with(oc.loc.0, oc.loc.1, cx, cy)
                     {
-                        nearby.push(o);
+                        killed += 1;
                     }
                 }
             }
         }
-        // Simulate the insertion.
-        let idx = &mut self.fvp[usize::from(layer)];
-        idx.add_via(cx, cy);
-        let killed = nearby
-            .iter()
-            .filter(|&&o| {
-                let oc = &self.problem.candidates()[o as usize];
-                idx.would_create_fvp(oc.loc.0, oc.loc.1)
-            })
-            .count() as i64;
-        idx.remove_via(cx, cy);
         killed
     }
 
-    fn penalty(&mut self, c: u32) -> i64 {
+    fn penalty(&self, c: u32) -> i64 {
         let via_idx = self.problem.candidates()[c as usize].via_idx;
         self.params.delta * self.feasible_count(via_idx)
             + self.params.lambda * self.conflicting_count(c)

@@ -10,9 +10,10 @@
 //! 4. three or fewer vias → never an FVP.
 //!
 //! The rules read a window as a 9-bit occupancy mask: a population
-//! count plus two corner tests, with no allocation. [`FvpIndex`] reads
-//! its masks straight out of its via bitset; [`window_is_fvp`] builds
-//! one from window-relative positions.
+//! count plus two corner tests, with no allocation. [`window_is_fvp`]
+//! builds one from window-relative positions; [`FvpIndex`] reads its
+//! masks straight out of its via bitset and classifies them through a
+//! 512-entry table derived from the same rules at compile time.
 //! [`window_is_3colorable_bruteforce`] is the exhaustive reference the
 //! test suite proves the rules equivalent to (all 512 window masks).
 
@@ -37,10 +38,10 @@ const ANTI_DIAGONAL: u16 = mask_bit(2, 0) | mask_bit(0, 2);
 
 /// The §II-D rules on a 9-bit window mask (bit [`mask_bit`]`(dx, dy)`
 /// set when a via occupies `(dx, dy)`): `true` when the pattern is an
-/// FVP. This is the one classifier behind [`window_is_fvp`] and
-/// [`FvpIndex`].
+/// FVP. This is the one classifier behind [`window_is_fvp`] and, through
+/// [`THREATS`], [`FvpIndex`].
 #[inline]
-fn mask_is_fvp(mask: u16) -> bool {
+const fn mask_is_fvp(mask: u16) -> bool {
     match mask.count_ones() {
         0..=3 => false,
         // Colorable iff some diagonally opposite corner pair is
@@ -50,6 +51,33 @@ fn mask_is_fvp(mask: u16) -> bool {
         5 => mask & CORNERS != CORNERS,
         _ => true,
     }
+}
+
+/// Every bit of a window mask.
+const ALL: u16 = (1 << (WINDOW * WINDOW)) - 1;
+
+/// `THREATS[m]` is the mask of the window positions where one more via
+/// makes window mask `m` an FVP: bit `q` is set iff
+/// `mask_is_fvp(m | 1 << q)`. A position already in `m` reads the
+/// window's own state, and a pattern that is not 3-colorable stays so
+/// when a via is added, so `THREATS[m] == ALL` exactly when `m` is an
+/// FVP.
+static THREATS: [u16; 512] = threat_table();
+
+const fn threat_table() -> [u16; 512] {
+    let mut table = [0; 512];
+    let mut m = 0;
+    while m < 512 {
+        let mut q = 0;
+        while q < WINDOW * WINDOW {
+            if mask_is_fvp(m as u16 | 1 << q) {
+                table[m] |= 1 << q;
+            }
+            q += 1;
+        }
+        m += 1;
+    }
+    table
 }
 
 /// Classifies a via pattern inside a 3×3 window.
@@ -182,23 +210,30 @@ impl BitGrid {
     }
 }
 
-/// The window origins `(ox, oy)` whose 3×3 area contains `(x, y)` on a
-/// `w × h` grid.
-fn windows_touching(w: i32, h: i32, x: i32, y: i32) -> impl Iterator<Item = (i32, i32)> {
-    let x0 = (x - WINDOW + 1).max(0);
-    let x1 = x.min(w - WINDOW);
-    let y0 = (y - WINDOW + 1).max(0);
-    let y1 = y.min(h - WINDOW);
+/// The window origins `(ox, oy)` whose 3×3 area contains both `a` and
+/// `b` on a `w × h` grid (none when they are too far apart).
+fn windows_holding(
+    w: i32,
+    h: i32,
+    a: (i32, i32),
+    b: (i32, i32),
+) -> impl Iterator<Item = (i32, i32)> {
+    let x0 = (a.0.max(b.0) - WINDOW + 1).max(0);
+    let x1 = a.0.min(b.0).min(w - WINDOW);
+    let y0 = (a.1.max(b.1) - WINDOW + 1).max(0);
+    let y1 = a.1.min(b.1).min(h - WINDOW);
     (x0..=x1).flat_map(move |ox| (y0..=y1).map(move |oy| (ox, oy)))
 }
 
 /// An incremental FVP index over one via layer.
 ///
-/// Tracks the set of vias on the layer and the set of 3×3 windows
-/// whose current pattern is an FVP. Adding or removing a via updates
-/// at most nine windows (O(1)); the full FVP list is available at any
-/// time, which is exactly what the paper's via-layer TPL violation
-/// removal R&R (Algorithm 2) needs.
+/// Tracks the set of vias on the layer, the set of 3×3 windows whose
+/// current pattern is an FVP, and the *blocked via locations* of
+/// Algorithm 2: the cells where one more via would create an FVP.
+/// Adding or removing a via updates at most nine windows (O(1)); the
+/// full FVP list is available at any time, which is exactly what the
+/// paper's via-layer TPL violation removal R&R (Algorithm 2) needs,
+/// and [`FvpIndex::would_create_fvp`] is one byte read.
 ///
 /// Both the via set and the FVP-window set are dense bitsets indexed
 /// in x-major order, so membership tests are single word reads and
@@ -207,6 +242,10 @@ fn windows_touching(w: i32, h: i32, x: i32, y: i32) -> impl Iterator<Item = (i32
 /// superset of the currently-set origins, with each origin pushed at
 /// most once per epoch — so [`FvpIndex::fvp_windows`] is proportional
 /// to the number of recently-violating windows, not the grid area.
+/// Each cell keeps a count of the windows containing it that one more
+/// via there would make (or, on an occupied cell, that already are)
+/// FVPs; a via edit moves the counts of the cells whose bit of the
+/// 512-entry threat table flips in each of its windows.
 ///
 /// ```
 /// use tpl_decomp::FvpIndex;
@@ -229,6 +268,9 @@ pub struct FvpIndex {
     fvp: BitGrid,
     via_count: usize,
     fvp_count: usize,
+    /// Per cell, the number of windows containing it that are FVPs
+    /// once a via is there (at most nine).
+    threats: Vec<u8>,
     /// Superset of the set FVP origins; rebuilt when it grows well
     /// past `fvp_count`.
     dirty: Vec<(i32, i32)>,
@@ -256,6 +298,7 @@ impl FvpIndex {
             fvp: BitGrid::new(cells),
             via_count: 0,
             fvp_count: 0,
+            threats: vec![0; cells],
             dirty: Vec::new(),
             stamp: vec![u32::MAX; cells],
             epoch: 0,
@@ -320,9 +363,29 @@ impl FvpIndex {
         self.vias.get3(col) | self.vias.get3(col + h) << 3 | self.vias.get3(col + 2 * h) << 6
     }
 
-    fn refresh_window(&mut self, ox: i32, oy: i32) {
+    /// Moves window `(ox, oy)` from via mask `was` to `now`: the
+    /// counts of the cells whose [`THREATS`] bit flips, and the
+    /// window's FVP bit.
+    fn refresh_window(&mut self, ox: i32, oy: i32, was: u16, now: u16) {
+        let (was, now) = (THREATS[usize::from(was)], THREATS[usize::from(now)]);
+        if was == now {
+            return;
+        }
         let cell = self.cell(ox, oy);
-        if mask_is_fvp(self.window_mask(ox, oy)) {
+        let h = self.height as usize;
+        // Mask bit `q` is window offset `(q / 3, q % 3)` (`mask_bit`).
+        let at = |q: u32| cell + (q / 3) as usize * h + (q % 3) as usize;
+        let mut gained = now & !was;
+        while gained != 0 {
+            self.threats[at(gained.trailing_zeros())] += 1;
+            gained &= gained - 1;
+        }
+        let mut lost = was & !now;
+        while lost != 0 {
+            self.threats[at(lost.trailing_zeros())] -= 1;
+            lost &= lost - 1;
+        }
+        if now == ALL {
             if self.fvp.set(cell) {
                 self.fvp_count += 1;
             }
@@ -333,6 +396,15 @@ impl FvpIndex {
         } else if self.fvp.clear(cell) {
             self.fvp_count -= 1;
         }
+    }
+
+    /// Refreshes the windows around `(x, y)` after its via bit flipped.
+    fn refresh_around(&mut self, x: i32, y: i32) {
+        for (ox, oy) in windows_holding(self.width, self.height, (x, y), (x, y)) {
+            let now = self.window_mask(ox, oy);
+            self.refresh_window(ox, oy, now ^ mask_bit(x - ox, y - oy), now);
+        }
+        self.maybe_compact_dirty();
     }
 
     /// Rebuilds the dirty list from the currently-set FVP origins once
@@ -361,10 +433,7 @@ impl FvpIndex {
             return false;
         }
         self.via_count += 1;
-        for (ox, oy) in windows_touching(self.width, self.height, x, y) {
-            self.refresh_window(ox, oy);
-        }
-        self.maybe_compact_dirty();
+        self.refresh_around(x, y);
         true
     }
 
@@ -375,10 +444,7 @@ impl FvpIndex {
             return false;
         }
         self.via_count -= 1;
-        for (ox, oy) in windows_touching(self.width, self.height, x, y) {
-            self.refresh_window(ox, oy);
-        }
-        self.maybe_compact_dirty();
+        self.refresh_around(x, y);
         true
     }
 
@@ -386,14 +452,33 @@ impl FvpIndex {
     ///
     /// This is the check behind the *blocked via locations* of
     /// Algorithm 2 (Fig. 10) and behind the FVP guard of the DVI
-    /// heuristic. The position itself may be empty or occupied; an
-    /// occupied position trivially returns the current state.
+    /// heuristic: one byte read. The position itself may be empty or
+    /// occupied; an occupied position returns whether a window
+    /// containing it is an FVP now.
+    #[inline]
     pub fn would_create_fvp(&self, x: i32, y: i32) -> bool {
-        if self.contains(x, y) {
-            return windows_touching(self.width, self.height, x, y)
-                .any(|(ox, oy)| self.fvp.get(self.cell(ox, oy)));
-        }
-        windows_touching(self.width, self.height, x, y)
+        self.threats[self.cell(x, y)] != 0
+    }
+
+    /// [`FvpIndex::would_create_fvp`] at `(x, y)` as it would read
+    /// with one more via at the empty position `(ax, ay)`, without
+    /// changing the index: only the windows holding both positions see
+    /// the extra via.
+    pub fn would_create_fvp_with(&self, x: i32, y: i32, ax: i32, ay: i32) -> bool {
+        debug_assert!(!self.contains(ax, ay), "({ax}, {ay}) holds a via");
+        self.would_create_fvp(x, y)
+            || windows_holding(self.width, self.height, (x, y), (ax, ay)).any(|(ox, oy)| {
+                let mask = self.window_mask(ox, oy) | mask_bit(ax - ox, ay - oy);
+                THREATS[usize::from(mask)] & mask_bit(x - ox, y - oy) != 0
+            })
+    }
+
+    /// [`FvpIndex::would_create_fvp`] by rescanning the nine windows
+    /// around `(x, y)`: the oracle the threat counts are tested
+    /// against.
+    #[cfg(test)]
+    fn would_create_fvp_scan(&self, x: i32, y: i32) -> bool {
+        windows_holding(self.width, self.height, (x, y), (x, y))
             .any(|(ox, oy)| mask_is_fvp(self.window_mask(ox, oy) | mask_bit(x - ox, y - oy)))
     }
 }
@@ -416,6 +501,73 @@ mod tests {
             let colorable = window_is_3colorable_bruteforce(&vias);
             assert_eq!(mask_is_fvp(mask), !colorable, "mask {mask:#011b}");
             assert_eq!(window_is_fvp(&vias), !colorable, "mask {mask:#011b}");
+        }
+    }
+
+    /// Every entry of the threat table is the classifier applied to
+    /// the mask with one more via, at each of the nine positions, and
+    /// a full entry marks exactly the FVP masks.
+    #[test]
+    fn threat_table_is_the_classifier_plus_one_via() {
+        for mask in 0u16..512 {
+            for q in 0..WINDOW * WINDOW {
+                assert_eq!(
+                    THREATS[usize::from(mask)] & 1 << q != 0,
+                    mask_is_fvp(mask | 1 << q),
+                    "mask {mask:#011b}, position {q}"
+                );
+            }
+            assert_eq!(THREATS[usize::from(mask)] == ALL, mask_is_fvp(mask));
+        }
+    }
+
+    proptest::proptest! {
+        /// Under random add/remove sequences on small grids, borders
+        /// and corners included, the counts answer
+        /// `would_create_fvp` as the nine-window rescan does at every
+        /// cell, empty or occupied, and `would_create_fvp_with` as the
+        /// rescan of a copy holding the extra via.
+        #[test]
+        fn threat_counts_match_the_window_rescan(
+            w in 3i32..13,
+            h in 3i32..10,
+            ops in proptest::collection::vec((0u8..3, 0i32..12, 0i32..9), 1..60)
+        ) {
+            let mut idx = FvpIndex::new(w, h);
+            let cells = || (0..w).flat_map(|x| (0..h).map(move |y| (x, y)));
+            for (op, x, y) in ops {
+                let (x, y) = (x % w, y % h);
+                // One edit in three is a removal.
+                if op == 0 {
+                    idx.remove_via(x, y);
+                } else {
+                    idx.add_via(x, y);
+                }
+                for (cx, cy) in cells() {
+                    proptest::prop_assert_eq!(
+                        idx.would_create_fvp(cx, cy),
+                        idx.would_create_fvp_scan(cx, cy),
+                        "at ({}, {}) on {}x{}", cx, cy, w, h
+                    );
+                }
+                // The extra via: the first empty cell after the edit's.
+                let next = cells()
+                    .cycle()
+                    .skip((x * h + y + 1) as usize)
+                    .take((w * h) as usize)
+                    .find(|&(cx, cy)| !idx.contains(cx, cy));
+                if let Some((ax, ay)) = next {
+                    let mut with = idx.clone();
+                    with.add_via(ax, ay);
+                    for (cx, cy) in cells() {
+                        proptest::prop_assert_eq!(
+                            idx.would_create_fvp_with(cx, cy, ax, ay),
+                            with.would_create_fvp_scan(cx, cy),
+                            "at ({}, {}) with ({}, {})", cx, cy, ax, ay
+                        );
+                    }
+                }
+            }
         }
     }
 
