@@ -405,8 +405,7 @@ impl Violation {
 
 /// Resumable progress of the TPL violation-removal phase: the
 /// priority heap, its tie-break sequence counter, and the rotation
-/// survive a budget stop. Whether blocked-via enforcement is on lives
-/// in [`RouterState::enforce_blocked`], not here.
+/// survive a budget stop.
 #[derive(Debug, Clone, Default)]
 pub struct TplWork {
     pub(crate) heap: BinaryHeap<Reverse<(u8, u64, Violation)>>,

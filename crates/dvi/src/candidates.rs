@@ -304,7 +304,6 @@ impl LayoutView {
     }
 
     /// Distinct nets other than `net` covering point `p`.
-    #[inline]
     pub fn distinct_others(&self, p: GridPoint, net: NetId) -> usize {
         match self.points.get(p) {
             Some(s) if s.owner == SPILLED => {

@@ -295,7 +295,6 @@ impl TurnKind {
     /// Builds a turn from its two arm directions (in either order).
     ///
     /// Returns `None` if the directions are collinear or non-planar.
-    #[inline]
     pub fn from_arms(a: Dir, b: Dir) -> Option<TurnKind> {
         let (h, v) = match (a.axis()?, b.axis()?) {
             (Axis::Horizontal, Axis::Vertical) => (a, b),

@@ -113,7 +113,6 @@ pub fn sid_track_is_black(t: i32) -> bool {
 /// assert_eq!(classify_turn(SadpKind::Sim, 2, 4, TurnKind::WestSouth), TurnClass::NonPreferred);
 /// assert_eq!(classify_turn(SadpKind::Sim, 2, 4, TurnKind::EastSouth), TurnClass::Forbidden);
 /// ```
-#[inline]
 pub fn classify_turn(kind: SadpKind, x: i32, y: i32, turn: TurnKind) -> TurnClass {
     match kind {
         // Turn legality is a property of the mandrel geometry, which

@@ -267,28 +267,20 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Copies each run between escapes as one slice: every escaped
-/// character is ASCII, so both ends of a run are char boundaries.
 fn escape_into(out: &mut String, s: &str) {
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                let _ = write!(out, "\\u{b:04x}");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
+            c => out.push(c),
         }
-        run = i + 1;
     }
-    out.push_str(&s[run..]);
 }
 
 fn write_str(out: &mut String, s: &str) {
@@ -564,10 +556,6 @@ mod tests {
             escape("a\"b\\c\nd\re\tf\u{1}g é"),
             "a\\\"b\\\\c\\nd\\re\\tf\\u0001g é"
         );
-        // Runs of multi-byte text around escapes, at both ends.
-        assert_eq!(escape("\u{1f}é\"日本\\"), "\\u001fé\\\"日本\\\\");
-        assert_eq!(escape("plain ✓"), "plain ✓");
-        assert_eq!(escape(""), "");
     }
 
     #[test]
