@@ -11,7 +11,7 @@ use sadp_grid::{Axis, Dir, GridPoint, Net, NetId, RoutedNet, Via, WireEdge};
 
 use crate::search::dir_code;
 pub use crate::search::{route_connection, FoundPath, SearchScratch, TreeArms, Window};
-use crate::state::RouterState;
+use crate::state::{pin_vias, RouterState};
 
 /// Routes a whole (multi-pin) net: grows a tree from the first pin,
 /// connecting the nearest unconnected pin each round, with an
@@ -56,7 +56,8 @@ where
         .collect();
 
     let mut edges: Vec<WireEdge> = Vec::new();
-    let mut vias: Vec<Via> = state.pin_stub_for(net).vias().to_vec();
+    // `RoutedNet::new` below sorts and dedups the list.
+    let mut vias: Vec<Via> = pin_vias(&state.grid, net);
     // The tree with its planar arms, updated as each path lands (the
     // masks `RoutedNet::new(edges, vias).arm_mask` would give), and
     // its bounding box for the search window.

@@ -874,24 +874,30 @@ mod tests {
 
     #[test]
     fn tpl_phase_removes_fvps() {
-        // Dense pin clusters that force via clusters on layer 1.
-        let mut nets = Vec::new();
-        for k in 0..8 {
-            // Diagonal nets all crossing around the center: vias pile
-            // up.
-            nets.push(Net::new(
+        // Twelve diagonal nets crossing around the center of a SID
+        // grid, routed and negotiated without TPL costs, so their vias
+        // pile up into FVP windows; the TPL phase (costs on, blocked
+        // via sites refused) must reroute nets to remove them.
+        let mut nl = Netlist::new();
+        for k in 0..12 {
+            nl.push(Net::new(
                 format!("n{k}"),
-                vec![Pin::new(3 + k, 3), Pin::new(20 - k, 20)],
+                vec![Pin::new(2 + k, 2), Pin::new(20 - k, 20)],
             ));
         }
-        let (nl, mut st) = build(nets, 24, 24);
+        let grid = RoutingGrid::three_layer(24, 24);
+        let mut st = RouterState::new(grid, &nl, SadpKind::Sid, CostParams::default(), true, false);
         let pins = PinIndex::build(&st.grid, &nl);
         let mut scratch = SearchScratch::new();
         let failed = route_all(&mut st, &nl, &mut scratch);
         assert!(failed.is_empty());
         let (_c, _s) = negotiate(&mut st, &nl, &pins, 10_000, &mut scratch);
-        let (clean, _stats) = remove_fvps(&mut st, &nl, &pins, 10_000, &mut scratch);
+        st.consider_tpl = true;
+        let windows: usize = st.fvp.iter().map(|f| f.fvp_windows().len()).sum();
+        assert!(windows > 0, "the TPL phase starts with no FVP window");
+        let (clean, stats) = remove_fvps(&mut st, &nl, &pins, 10_000, &mut scratch);
         assert!(clean, "FVPs or congestion remain");
+        assert!(stats.reroutes > 0, "no net was rerouted: {stats:?}");
         for vl in 0..st.grid.via_layer_count() {
             assert!(st.fvp[vl as usize].fvp_windows().is_empty());
         }

@@ -37,6 +37,14 @@
 //!   source whose parent byte is `SOURCE_FLAG` plus its arm mask.
 //!   The expansion loop reads tree membership and branch-point arms
 //!   from the slot it already touches: no hashing per relax.
+//! * **Strides and per-search tables** — each search computes the
+//!   strides of the grid's dense maps and of the flat scratch, each
+//!   layer's planar step costs, and the turn-class table
+//!   ([`sadp_decomp::turn_table`]) once. An expansion computes its
+//!   point's map index and scratch base once; every neighbour is a
+//!   stride away, the window's edges are single comparisons, and the
+//!   cost maps are read through the linear-index forms of
+//!   [`RouterState::vertex_cost`] and [`RouterState::via_cost`].
 //! * **Dial bucket-queue open set** — integer costs and a consistent
 //!   heuristic make the popped f-sequence monotone, so the open set is
 //!   a `DialQueue` (O(1) push, near-O(1) pop) instead of a binary
@@ -55,8 +63,8 @@
 
 use std::collections::HashMap;
 
-use sadp_decomp::{classify_turn, TurnClass};
-use sadp_grid::{Axis, Dir, GridPoint, NetId, RoutingGrid, TurnKind, Via, WireEdge};
+use sadp_decomp::{turn_table, TurnClass};
+use sadp_grid::{Axis, Dir, GridPoint, NetId, RoutingGrid, Via, WireEdge};
 
 use crate::bucket::DialQueue;
 use crate::costs::CostParams;
@@ -396,6 +404,17 @@ impl SearchScratch {
         }
     }
 
+    /// Slot of state `(v, code)` for the neighbour `v` of the point
+    /// whose code-0 slot is `base`, `stride` away in flat mode.
+    #[inline]
+    fn step_slot(&self, base: usize, stride: isize, v: GridPoint, code: u8) -> usize {
+        if self.paged {
+            self.slot(v, code)
+        } else {
+            base.wrapping_add_signed(stride) + usize::from(code)
+        }
+    }
+
     /// Best known cost of a state, or `i64::MAX` when unvisited this
     /// epoch (including never-touched pages).
     #[inline]
@@ -455,9 +474,11 @@ impl SearchScratch {
         self.pages.iter().filter(|p| p.is_some()).count()
     }
 
+    /// Lowers state `(to, in_code)` at `slot` to cost `g` and queues
+    /// it with key `f` when `g` improves on its best known cost.
     #[inline]
-    fn relax(&mut self, to: GridPoint, in_code: u8, g: i64, parent_code: u8, f: i64) {
-        let slot = self.slot(to, in_code);
+    fn relax(&mut self, slot: usize, to: GridPoint, in_code: u8, g: i64, parent_code: u8, f: i64) {
+        debug_assert_eq!(slot, self.slot(to, in_code));
         if g < self.dist_at(slot) {
             self.write(slot, g, parent_code);
             self.queue.push(f, key(to, in_code));
@@ -534,6 +555,16 @@ impl Bound {
     }
 }
 
+/// Per-layer constants of one search.
+#[derive(Debug, Clone, Copy)]
+struct LayerSteps {
+    /// [`CostParams::wire_step`] of a step toward each planar
+    /// direction, in [`dir_code`] order.
+    planar: [i64; 4],
+    /// `true` on routing layers, the only layers a via lands on.
+    routing: bool,
+}
+
 /// Searches a minimum-cost path from the source tree to `target`
 /// using the dense A* kernel.
 ///
@@ -545,7 +576,8 @@ impl Bound {
 /// * `scratch` — reusable buffers (see [`SearchScratch`]).
 ///
 /// Tree points outside `window` are ignored; the search never leaves
-/// the window. Returns `None` when no path exists inside it.
+/// the window or the grid. Returns `None` when no path exists inside
+/// them.
 ///
 /// The returned path has exactly the cost Dijkstra would find; only
 /// tie-breaking among equal-cost paths may differ from the hash-based
@@ -560,6 +592,14 @@ pub fn route_connection(
 ) -> Option<FoundPath> {
     let params = &state.params;
     let grid = &state.grid;
+    // The part of the window inside the grid, so a step that stays in
+    // the window stays in the grid.
+    let window = Window {
+        x0: window.x0.max(0),
+        y0: window.y0.max(0),
+        x1: window.x1.min(grid.width() - 1),
+        y1: window.y1.min(grid.height() - 1),
+    };
     if !window.contains(target.x, target.y) {
         return None;
     }
@@ -590,10 +630,33 @@ pub fn route_connection(
         }
     }
 
+    // Per-search constants. Every dense map of `state` spans the grid
+    // (the via-layer maps one layer fewer), so one index addresses a
+    // point in all of them and a neighbour lies a fixed stride away;
+    // the same holds for flat scratch slots within the window.
+    let layers: Vec<LayerSteps> = (0..grid.layer_count())
+        .map(|l| LayerSteps {
+            planar: Dir::PLANAR.map(|d| params.wire_step(grid.preferred_axis(l) == d.axis())),
+            routing: grid.is_routing_layer(l),
+        })
+        .collect();
+    let turns = turn_table(state.kind);
+    let turn_penalty = params.turn_penalty();
+    let blocked = state.wire_blocked.as_slice();
+    let (gw, gh) = (grid.width() as isize, grid.height() as isize);
+    let (sw, sh) = (scratch.w as isize, scratch.h as isize);
+    let n = STATES_PER_POINT as isize;
+    // Strides toward E, W, N, S, Up, Down (`dir_code` order).
+    let map_stride = [1, -1, gw, -gw, gw * gh, -gw * gh];
+    let slot_stride = [n, -n, sw * n, -sw * n, sw * sh * n, -sw * sh * n];
+
     let mut goal: Option<(GridPoint, u8)> = None;
     while let Some((f, k)) = scratch.queue.pop() {
         let (p, in_code) = unkey(k);
-        let slot = scratch.slot(p, in_code);
+        // The slot of `(p, 0)`: a point's seven states are adjacent in
+        // flat and paged addressing alike.
+        let base = scratch.slot(p, 0);
+        let slot = base + usize::from(in_code);
         let g = scratch.dist_at(slot);
         if f > g + bound.at(p) {
             continue; // stale open-set entry: the state was re-relaxed
@@ -603,95 +666,101 @@ pub fn route_connection(
             goal = Some((p, in_code));
             break;
         }
-        let in_dir = code_dir(in_code);
+        let mi = state.wire_blocked.index_of(p);
         // Existing arms at a branch point; only sources have no
         // incoming direction, and their parent byte holds the mask.
-        let arms = match in_dir {
-            None => scratch.parent_at(slot) & ARM_BITS,
-            Some(_) => 0,
+        let arms = match in_code {
+            IN_NONE => scratch.parent_at(slot) & ARM_BITS,
+            _ => 0,
         };
+        let layer = layers[usize::from(p.layer)];
+        let turn = &turns[(p.x & 1) as usize][(p.y & 1) as usize];
+        // The window's edges, as the planar moves that stay inside.
+        let inside = [
+            p.x < window.x1,
+            p.x > window.x0,
+            p.y < window.y1,
+            p.y > window.y0,
+        ];
 
         // Planar moves.
-        for dir in Dir::PLANAR {
-            if let Some(in_d) = in_dir {
-                if in_d.is_planar() && dir == in_d.opposite() {
-                    continue; // no immediate U-turn
-                }
+        for (out, dir) in Dir::PLANAR.into_iter().enumerate() {
+            if !inside[out] {
+                continue;
             }
             let mut extra = 0i64;
-            // Turn legality mid-path.
-            if let Some(in_d) = in_dir {
-                if in_d.is_planar() && in_d.axis() != dir.axis() {
-                    let arm = in_d.opposite();
-                    let Some(turn) = TurnKind::from_arms(arm, dir) else {
-                        continue; // arms share an axis: not a turn
-                    };
-                    match classify_turn(state.kind, p.x, p.y, turn) {
-                        TurnClass::Forbidden => continue,
-                        TurnClass::NonPreferred => extra += params.turn_penalty(),
-                        TurnClass::Preferred => {}
-                    }
+            if in_code < 4 {
+                // Turn legality mid-path: the incoming wire's arm
+                // points back along the opposite direction.
+                let arm = usize::from(in_code ^ 1);
+                if out == arm {
+                    continue; // no immediate U-turn
                 }
-            }
-            // Turn legality at branch points (source states).
-            if arms != 0 {
+                match turn[arm][out] {
+                    Some(TurnClass::Forbidden) => continue,
+                    Some(TurnClass::NonPreferred) => extra += turn_penalty,
+                    Some(TurnClass::Preferred) | None => {}
+                }
+            } else if arms != 0 {
+                // Turn legality at branch points (source states):
+                // every existing arm forms its own L with `dir`.
                 let mut ok = true;
-                for arm in Dir::PLANAR {
-                    if arms & (1 << dir_code(arm)) == 0 || arm.axis() == dir.axis() {
+                for (arm, class) in turn.iter().enumerate() {
+                    if arms & (1 << arm) == 0 {
                         continue;
                     }
-                    let Some(turn) = TurnKind::from_arms(arm, dir) else {
-                        continue; // arms share an axis: not a turn
-                    };
-                    match classify_turn(state.kind, p.x, p.y, turn) {
-                        TurnClass::Forbidden => {
+                    match class[out] {
+                        Some(TurnClass::Forbidden) => {
                             ok = false;
                             break;
                         }
-                        TurnClass::NonPreferred => extra += params.turn_penalty(),
-                        TurnClass::Preferred => {}
+                        Some(TurnClass::NonPreferred) => extra += turn_penalty,
+                        Some(TurnClass::Preferred) | None => {}
                     }
                 }
                 if !ok {
                     continue;
                 }
             }
-            let v = p.stepped(dir);
-            if !grid.in_bounds(v) || !window.contains(v.x, v.y) {
-                continue;
-            }
-            if state.wire_blocked[v] {
+            let vi = mi.wrapping_add_signed(map_stride[out]);
+            if blocked[vi] {
                 continue; // hard layout blockage
             }
-            let preferred = grid.preferred_axis(p.layer) == dir.axis();
-            let step = params.wire_step(preferred) + state.vertex_cost(v, net) + extra;
+            let v = p.stepped(dir);
+            let step = layer.planar[out] + state.vertex_cost_at(vi, net) + extra;
             let g2 = g + step;
             let f2 = g2 + bound.at(v);
-            scratch.relax(v, dir_code(dir), g2, in_code, f2);
+            let code = out as u8;
+            let to = scratch.step_slot(base, slot_stride[out], v, code);
+            scratch.relax(to, v, code, g2, in_code, f2);
         }
 
         // Via moves between adjacent routing layers.
-        for dir in [Dir::Up, Dir::Down] {
-            let v = p.stepped(dir);
-            if v.layer >= grid.layer_count() || !grid.is_routing_layer(v.layer) {
-                continue;
+        for (out, dir) in [(4, Dir::Up), (5, Dir::Down)] {
+            let lands = match dir {
+                Dir::Up => layers.get(usize::from(p.layer) + 1),
+                _ => usize::from(p.layer).checked_sub(1).map(|l| &layers[l]),
+            };
+            if !lands.is_some_and(|l| l.routing) || usize::from(in_code ^ 1) == out {
+                continue; // no routing layer there, or straight back
             }
-            if let Some(in_d) = in_dir {
-                if !in_d.is_planar() && dir == in_d.opposite() {
-                    continue;
-                }
-            }
-            if state.wire_blocked[v] {
+            let vi = mi.wrapping_add_signed(map_stride[out]);
+            if blocked[vi] {
                 continue; // hard layout blockage
             }
-            let vl = p.layer.min(v.layer);
-            let Some(via_cost) = state.via_cost(vl, p.x, p.y) else {
+            let v = p.stepped(dir);
+            // The via layer between `p` and `v` has the lower metal
+            // layer's index, so its map index is the lower point's.
+            let Some(via_cost) = state.via_cost_at(p.layer.min(v.layer), p.x, p.y, mi.min(vi))
+            else {
                 continue; // blocked via location
             };
-            let step = via_cost + state.vertex_cost(v, net);
+            let step = via_cost + state.vertex_cost_at(vi, net);
             let g2 = g + step;
             let f2 = g2 + bound.at(v);
-            scratch.relax(v, dir_code(dir), g2, in_code, f2);
+            let code = out as u8;
+            let to = scratch.step_slot(base, slot_stride[out], v, code);
+            scratch.relax(to, v, code, g2, in_code, f2);
         }
     }
 
@@ -733,6 +802,8 @@ fn route_connection_reference(
     target: GridPoint,
     window: Window,
 ) -> Option<FoundPath> {
+    use sadp_decomp::classify_turn;
+    use sadp_grid::TurnKind;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -1020,23 +1091,26 @@ mod tests {
         None
     }
 
+    /// A pin layer under `n − 1` routing layers of alternating
+    /// direction, M2 horizontal.
+    fn alternating(n: usize, width: i32, height: i32) -> RoutingGrid {
+        let mut layers = vec![LayerRole::PinOnly];
+        layers.extend((1..n).map(|l| {
+            LayerRole::Routing(if l % 2 == 1 {
+                Axis::Horizontal
+            } else {
+                Axis::Vertical
+            })
+        }));
+        RoutingGrid::new(width, height, layers)
+    }
+
     #[test]
     fn bound_is_consistent_on_small_stacks() {
-        let alternating = |n: usize| {
-            let mut layers = vec![LayerRole::PinOnly];
-            layers.extend((1..n).map(|l| {
-                LayerRole::Routing(if l % 2 == 1 {
-                    Axis::Horizontal
-                } else {
-                    Axis::Vertical
-                })
-            }));
-            RoutingGrid::new(6, 5, layers)
-        };
         let stacks = [
             RoutingGrid::three_layer(6, 5),
-            alternating(4),
-            alternating(5),
+            alternating(4, 6, 5),
+            alternating(5, 6, 5),
         ];
         let params = [
             CostParams::default(),
@@ -1211,6 +1285,161 @@ mod tests {
             connections > 100,
             "differential test exercised too few connections"
         );
+    }
+
+    /// The dense kernel's cost and reachability against the reference
+    /// kernel where the benchmark workloads never go: a 5-layer
+    /// alternating stack (so routing layers have both an Up and a Down
+    /// move), wire blockages, cells shared by two nets, and
+    /// `enforce_blocked` over via sites the FVP index refuses. Each
+    /// situation must occur: blockages and shared cells inside some
+    /// searched window, refused sites on some route that would take
+    /// them, and vias above M3 on some path.
+    #[test]
+    fn dense_kernel_matches_reference_on_a_five_layer_stack() {
+        let spec = BenchSpec {
+            name: "diff-5",
+            nets: 32,
+            width: 34,
+            height: 34,
+        };
+        // Connections compared; searched windows holding a wire
+        // blockage or a shared cell; vias the unenforced route would
+        // place on refused sites; paths with a via above M3.
+        let (mut connections, mut blocked, mut shared, mut refused, mut high) = (0, 0, 0, 0, 0);
+        for seed in 0..6u64 {
+            let kind = if seed % 2 == 0 {
+                SadpKind::Sim
+            } else {
+                SadpKind::Sid
+            };
+            let nl = spec.generate(seed);
+            let grid = alternating(5, spec.width, spec.height);
+            let mut st = RouterState::new(grid, &nl, kind, CostParams::default(), true, true);
+            let pads: Vec<(i32, i32)> = nl
+                .iter()
+                .flat_map(|(_, n)| n.pins().iter().map(|p| (p.x, p.y)))
+                .collect();
+            for layer in 1..5u8 {
+                for x in 0..spec.width {
+                    let y = (3 * x + 5 * i32::from(layer) + seed as i32) % spec.height;
+                    if x % 3 == 0 && !pads.contains(&(x, y)) {
+                        st.set_wire_blockage(layer, x, y, true);
+                    }
+                }
+            }
+            // A blocked row across M3 (vertical): crossing it through
+            // M4 (two vias, one preferred step) beats M2 (two vias,
+            // one non-preferred step), so paths climb above M3.
+            for x in 0..spec.width {
+                st.set_wire_blockage(2, x, spec.height / 3, true);
+                st.set_wire_blockage(2, x, 2 * spec.height / 3, true);
+            }
+            // Route every net against the pins alone, then install
+            // all routes at once: overlapping routes share cells.
+            let mut scratch = SearchScratch::new();
+            let ids: Vec<NetId> = nl.iter().map(|(id, _)| id).collect();
+            let routes: Vec<(NetId, sadp_grid::RoutedNet)> = ids
+                .iter()
+                .filter_map(|&id| Some((id, route_net(&st, id, &nl[id], &mut scratch)?)))
+                .collect();
+            for (id, r) in routes {
+                st.install_route(id, r);
+            }
+            // Reroute net by net, as negotiation does, comparing both
+            // kernels on every connection with blocked via sites
+            // refused.
+            for &id in &ids {
+                let old = st.uninstall_route(id);
+                let congested = st.congested_points();
+                // On every other net, threaten a via site the route
+                // would take if nothing were refused, with the FVP
+                // cluster of `avoids_blocked_vias` held by the FVP
+                // index alone; then count the sites it would take that
+                // are refused.
+                st.enforce_blocked = false;
+                if let Some(free) = route_net(&st, id, &nl[id], &mut scratch) {
+                    let site = free.vias().iter().find(|v| v.below >= 1);
+                    if let Some(v) = site.filter(|_| id.0 % 2 == 0) {
+                        for (dx, dy) in [(-1, -2), (1, -2), (0, -1)] {
+                            if st.grid.in_bounds_xy(v.x + dx, v.y + dy) {
+                                st.fvp[usize::from(v.below)].add_via(v.x + dx, v.y + dy);
+                            }
+                        }
+                    }
+                    refused += free
+                        .vias()
+                        .iter()
+                        .filter(|v| st.fvp[usize::from(v.below)].would_create_fvp(v.x, v.y))
+                        .count();
+                }
+                st.enforce_blocked = true;
+                let rerouted = route_net_with(&st, id, &nl[id], |st, id, tree, target, window| {
+                    let dense = route_connection(st, id, tree, target, window, &mut scratch);
+                    let reference = route_connection_reference(st, id, tree, target, window);
+                    match (&dense, &reference) {
+                        (Some(a), Some(b)) => {
+                            assert_eq!(a.cost, b.cost, "cost mismatch routing {id:?} to {target}");
+                            connections += 1;
+                            high += usize::from(a.vias.iter().any(|v| v.below >= 2));
+                        }
+                        (None, None) => {}
+                        _ => panic!(
+                            "reachability mismatch routing {id:?} to {target}: \
+                             dense={dense:?} reference={reference:?}"
+                        ),
+                    }
+                    let inside = |p: &GridPoint| window.contains(p.x, p.y);
+                    blocked += usize::from(st.wire_blocked.iter().any(|(p, &b)| b && inside(&p)));
+                    shared += usize::from(congested.iter().any(inside));
+                    dense
+                });
+                if let Some(r) = rerouted.or(old) {
+                    st.install_route(id, r);
+                }
+            }
+        }
+        assert!(connections > 100, "only {connections} connections compared");
+        for (what, n) in [
+            ("a wire blockage", blocked),
+            ("a cell shared by two nets", shared),
+        ] {
+            assert!(n > 0, "no searched window held {what}");
+        }
+        assert!(refused > 0, "no route wanted a refused via site");
+        assert!(high > 0, "no path used a via above M3");
+    }
+
+    /// The kernel's expansion and search counts, routing benchgen
+    /// instances in `bench_search`'s order (nets by HPWL then id, each
+    /// route installed before the next search) with default costs and
+    /// DVI and TPL costs on. A change that only makes the kernel
+    /// faster keeps these; one that changes the search moves them and
+    /// updates them here with the reason in CHANGES.md.
+    #[test]
+    fn expansion_counts_are_pinned() {
+        for (circuit, kind, expanded, searches) in [
+            ("alu", SadpKind::Sim, 50_255, 479),
+            ("div", SadpKind::Sid, 70_768, 942),
+        ] {
+            let spec = BenchSpec::by_name(circuit).unwrap().scaled(0.1);
+            let nl = spec.generate(1);
+            let mut st =
+                RouterState::new(spec.grid(), &nl, kind, CostParams::default(), true, true);
+            let mut order: Vec<NetId> = nl.iter().map(|(id, _)| id).collect();
+            order.sort_by_key(|&id| (nl[id].hpwl(), id));
+            let mut scratch = SearchScratch::new();
+            for id in order {
+                if let Some(r) = route_net(&st, id, &nl[id], &mut scratch) {
+                    st.install_route(id, r);
+                }
+            }
+            assert_eq!(
+                (scratch.expanded, scratch.searches),
+                (expanded, searches),
+                "{circuit}@0.1 {kind} seed 1: (expansions, searches)"
+            );
+        }
     }
 
     #[test]

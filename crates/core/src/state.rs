@@ -133,12 +133,6 @@ impl RouterState {
         state
     }
 
-    /// The via stack a net's pins contribute (also part of every
-    /// installed route).
-    pub fn pin_stub_for(&self, net: &Net) -> RoutedNet {
-        pin_stub(&self.grid, net)
-    }
-
     /// `true` when `via` belongs to a fixed pin via stack (below the
     /// first routing layer).
     pub fn is_pin_via(&self, via: Via) -> bool {
@@ -326,20 +320,39 @@ impl RouterState {
     /// Cost of occupying metal point `p` while routing `net`: penalty
     /// map + history + present-sharing usage.
     pub fn vertex_cost(&self, p: GridPoint, net: NetId) -> i64 {
-        let others = self.view.distinct_others(p, net);
-        self.wire_penalty[p] + self.history[p] + self.params.usage_cost(others)
+        self.vertex_cost_at(self.history.index_of(p), net)
+    }
+
+    /// [`RouterState::vertex_cost`] of the metal point at index `i` of
+    /// the metal-layer maps ([`DenseGrid::index_of`]): the search
+    /// kernel's form.
+    #[inline]
+    pub(crate) fn vertex_cost_at(&self, i: usize, net: NetId) -> i64 {
+        let others = self.view.distinct_others_at(i, net);
+        self.wire_penalty.as_slice()[i]
+            + self.history.as_slice()[i]
+            + self.params.usage_cost(others)
     }
 
     /// Cost of placing a via at `(vl, x, y)` while routing `net`, or
     /// `None` when the location is blocked (Algorithm 2).
     pub fn via_cost(&self, vl: u8, x: i32, y: i32) -> Option<i64> {
+        let i = self.via_penalty.index_of(GridPoint::new(vl, x, y));
+        self.via_cost_at(vl, x, y, i)
+    }
+
+    /// [`RouterState::via_cost`] with `i` the index of `(vl, x, y)` in
+    /// the via-layer maps: the search kernel's form. The FVP index
+    /// keeps its own `(x, y)` addressing.
+    #[inline]
+    pub(crate) fn via_cost_at(&self, vl: u8, x: i32, y: i32, i: usize) -> Option<i64> {
+        debug_assert_eq!(i, self.via_penalty.index_of(GridPoint::new(vl, x, y)));
         if self.enforce_blocked && self.fvp[usize::from(vl)].would_create_fvp(x, y) {
             return None;
         }
-        let p = GridPoint::new(vl, x, y);
-        let mut cost = self.params.via_step() + self.via_penalty[p];
+        let mut cost = self.params.via_step() + self.via_penalty.as_slice()[i];
         if self.consider_tpl {
-            cost += self.params.tplc(self.conflict_count[p]);
+            cost += self.params.tplc(self.conflict_count.as_slice()[i]);
         }
         Some(cost)
     }
@@ -446,9 +459,11 @@ impl RouterState {
     }
 }
 
-/// The fixed via stack + pad points contributed by a net's pins: one
-/// via per layer from the pin layer up to the first routing layer.
-fn pin_stub(grid: &RoutingGrid, net: &Net) -> RoutedNet {
+/// The fixed via stacks of a net's pins, one via per layer from the
+/// pin layer up to the first routing layer, pin by pin (unsorted, and
+/// a pin given twice gives its stack twice). Every installed route
+/// contains them.
+pub(crate) fn pin_vias(grid: &RoutingGrid, net: &Net) -> Vec<Via> {
     let first_routing = grid.first_routing_layer();
     let mut vias = Vec::new();
     for &Pin { x, y } in net.pins() {
@@ -456,7 +471,12 @@ fn pin_stub(grid: &RoutingGrid, net: &Net) -> RoutedNet {
             vias.push(Via::new(l, x, y));
         }
     }
-    RoutedNet::new(Vec::new(), vias)
+    vias
+}
+
+/// The fixed via stack + pad points contributed by a net's pins.
+fn pin_stub(grid: &RoutingGrid, net: &Net) -> RoutedNet {
+    RoutedNet::new(Vec::new(), pin_vias(grid, net))
 }
 
 #[cfg(test)]

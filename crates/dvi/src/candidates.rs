@@ -305,19 +305,30 @@ impl LayoutView {
 
     /// Distinct nets other than `net` covering point `p`.
     pub fn distinct_others(&self, p: GridPoint, net: NetId) -> usize {
-        match self.points.get(p) {
-            Some(s) if s.owner == SPILLED => {
-                let owners = &self.point_spill[s.data as usize].1;
-                let mut seen: Vec<NetId> = Vec::with_capacity(owners.len());
-                for &o in owners {
-                    if o != net && !seen.contains(&o) {
-                        seen.push(o);
-                    }
-                }
-                seen.len()
-            }
-            Some(s) if s.owner != FREE => usize::from(s.owner != net.0),
-            _ => 0,
+        if self.points.contains(p) {
+            self.distinct_others_at(self.points.index_of(p), net)
+        } else {
+            0
+        }
+    }
+
+    /// [`LayoutView::distinct_others`] of the metal point at index `i`
+    /// of a `layer_count × width × height` [`DenseGrid`] over this
+    /// view's grid ([`DenseGrid::index_of`]).
+    #[inline]
+    pub fn distinct_others_at(&self, i: usize, net: NetId) -> usize {
+        let s = self.points.as_slice()[i];
+        if s.owner == SPILLED {
+            // Owner lists hold a few entries: count each net other
+            // than `net` at its first occurrence, in place.
+            let owners = &self.point_spill[s.data as usize].1;
+            owners
+                .iter()
+                .enumerate()
+                .filter(|&(k, &o)| o != net && !owners[..k].contains(&o))
+                .count()
+        } else {
+            usize::from(s.owner != FREE && s.owner != net.0)
         }
     }
 

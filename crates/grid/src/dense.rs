@@ -106,18 +106,29 @@ impl<T> DenseGrid<T> {
         p.layer < self.layers && p.x >= 0 && p.x < self.width && p.y >= 0 && p.y < self.height
     }
 
+    /// The position of `p` in [`DenseGrid::as_slice`]:
+    /// `(layer · height + y) · width + x`. So the neighbours of a cell
+    /// lie at fixed offsets: ±1 in x, ±`width` in y, ±`width · height`
+    /// across layers. `p` must lie in the grid.
     #[inline]
-    fn idx(&self, p: GridPoint) -> usize {
+    pub fn index_of(&self, p: GridPoint) -> usize {
         debug_assert!(self.contains(p), "grid point {p} out of bounds");
         (p.layer as usize * self.height as usize + p.y as usize) * self.width as usize
             + p.x as usize
+    }
+
+    /// Every cell in layer-major order, addressed by
+    /// [`DenseGrid::index_of`].
+    #[inline]
+    pub fn as_slice(&self) -> &[T] {
+        &self.data
     }
 
     /// Borrow the cell at `p`, or `None` when out of range.
     #[inline]
     pub fn get(&self, p: GridPoint) -> Option<&T> {
         if self.contains(p) {
-            Some(&self.data[self.idx(p)])
+            Some(&self.data[self.index_of(p)])
         } else {
             None
         }
@@ -127,7 +138,7 @@ impl<T> DenseGrid<T> {
     #[inline]
     pub fn get_mut(&mut self, p: GridPoint) -> Option<&mut T> {
         if self.contains(p) {
-            let i = self.idx(p);
+            let i = self.index_of(p);
             Some(&mut self.data[i])
         } else {
             None
@@ -152,7 +163,7 @@ impl<T> std::ops::Index<GridPoint> for DenseGrid<T> {
 
     #[inline]
     fn index(&self, p: GridPoint) -> &T {
-        let i = self.idx(p);
+        let i = self.index_of(p);
         &self.data[i]
     }
 }
@@ -160,7 +171,7 @@ impl<T> std::ops::Index<GridPoint> for DenseGrid<T> {
 impl<T> std::ops::IndexMut<GridPoint> for DenseGrid<T> {
     #[inline]
     fn index_mut(&mut self, p: GridPoint) -> &mut T {
-        let i = self.idx(p);
+        let i = self.index_of(p);
         &mut self.data[i]
     }
 }
@@ -208,6 +219,19 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 2 * 3 * 4);
+    }
+
+    #[test]
+    fn linear_index_steps_by_fixed_strides() {
+        let mut g: DenseGrid<u32> = DenseGrid::new(3, 5, 4, 0);
+        let p = GridPoint::new(1, 2, 2);
+        g[p] = 9;
+        let i = g.index_of(p);
+        assert_eq!(g.as_slice()[i], 9);
+        assert_eq!(g.index_of(GridPoint::new(1, 3, 2)), i + 1);
+        assert_eq!(g.index_of(GridPoint::new(1, 2, 3)), i + 5);
+        assert_eq!(g.index_of(GridPoint::new(2, 2, 2)), i + 5 * 4);
+        assert_eq!(g.as_slice().len(), 3 * 5 * 4);
     }
 
     #[test]

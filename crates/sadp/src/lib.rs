@@ -44,5 +44,6 @@ pub use audit::{audit_solution, AuditReport, TurnCounts};
 pub use drc::{check_mask_set, DrcRules, DrcViolation};
 pub use masks::{decompose_layer, DecomposeError, MaskSet};
 pub use turns::{
-    classify_turn, mandrel_side_horizontal, mandrel_side_vertical, stub_turn_ok, TurnClass,
+    classify_turn, mandrel_side_horizontal, mandrel_side_vertical, stub_turn_ok, turn_table,
+    TurnClass, TurnTable,
 };

@@ -140,6 +140,45 @@ pub fn classify_turn(kind: SadpKind, x: i32, y: i32, turn: TurnKind) -> TurnClas
     }
 }
 
+/// The class of every planar arm pair at each corner parity:
+/// `table[x & 1][y & 1][a][b]` is the class of the L whose arms run
+/// `Dir::PLANAR[a]` and `Dir::PLANAR[b]` from a corner at `(x, y)`,
+/// or `None` when the two arms share an axis (no turn).
+pub type TurnTable = [[[[Option<TurnClass>; 4]; 4]; 2]; 2];
+
+/// [`classify_turn`] for every corner parity and arm pair of process
+/// `kind`, for lookups in a hot loop. Classification depends on a
+/// corner only through its parity, so `x & 1` and `y & 1` (which
+/// equal `rem_euclid(2)` for negative coordinates too) select the
+/// entry of any point.
+///
+/// ```
+/// use sadp_grid::{SadpKind, TurnKind};
+/// use sadp_decomp::{classify_turn, turn_table};
+///
+/// let table = turn_table(SadpKind::Sim);
+/// // Arms East (0) and North (2) at (3, -2): parity (1, 0).
+/// assert_eq!(
+///     table[1][0][0][2],
+///     Some(classify_turn(SadpKind::Sim, 3, -2, TurnKind::EastNorth))
+/// );
+/// assert_eq!(table[1][0][0][1], None); // East and West: no turn
+/// ```
+pub fn turn_table(kind: SadpKind) -> TurnTable {
+    let mut table = [[[[None; 4]; 4]; 2]; 2];
+    for (px, by_y) in table.iter_mut().enumerate() {
+        for (py, by_arm) in by_y.iter_mut().enumerate() {
+            for (a, by_out) in by_arm.iter_mut().enumerate() {
+                for (b, class) in by_out.iter_mut().enumerate() {
+                    *class = TurnKind::from_arms(Dir::PLANAR[a], Dir::PLANAR[b])
+                        .map(|t| classify_turn(kind, px as i32, py as i32, t));
+                }
+            }
+        }
+    }
+    table
+}
+
 /// Decides whether the one-unit stub turn created by a double-via
 /// insertion is manufacturable.
 ///
@@ -235,6 +274,30 @@ mod tests {
                             classify_turn(kind, x, y, t),
                             classify_turn(kind, x + 2, y + 4, t)
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The lookup table agrees with `classify_turn` for every process,
+    /// corner (negative and beyond the first period included), arm
+    /// and outgoing direction, and holds `None` exactly for collinear
+    /// arm pairs.
+    #[test]
+    fn turn_table_matches_classify_turn() {
+        for kind in SadpKind::VARIANTS {
+            let table = turn_table(kind);
+            for x in -3..5 {
+                for y in -3..5 {
+                    let at = &table[(x & 1) as usize][(y & 1) as usize];
+                    for (a, arm) in Dir::PLANAR.into_iter().enumerate() {
+                        for (b, out) in Dir::PLANAR.into_iter().enumerate() {
+                            let expected =
+                                TurnKind::from_arms(arm, out).map(|t| classify_turn(kind, x, y, t));
+                            assert_eq!(at[a][b], expected, "{kind} ({x}, {y}) {arm}{out}");
+                            assert_eq!(expected.is_none(), arm.axis() == out.axis());
+                        }
                     }
                 }
             }
