@@ -32,8 +32,8 @@ use sadp_grid::{
 use sadp_trace::fnv1a;
 
 use crate::budget::{ActiveBudget, Termination};
-use crate::flow::{RouterConfig, RoutingSession};
-use crate::rnr::{CongestionWork, InitialWork, RnrStats, TplWork, Violation};
+use crate::flow::{Progress, RouterConfig, RoutingSession};
+use crate::rnr::{InitialWork, RnrStats, Violation};
 use crate::state::{Delta, MapKind, RouterState};
 
 /// Magic + version header of the checkpoint format.
@@ -199,60 +199,61 @@ impl<'a> RoutingSession<'a> {
             "enforce_blocked {}\n",
             self.state.enforce_blocked as u8
         ));
-        out.push_str(&format!("failed {}", self.failed.len()));
-        for id in &self.failed {
+        let p = &self.progress;
+        out.push_str(&format!("failed {}", p.failed.len()));
+        for id in &p.failed {
             out.push_str(&format!(" {}", id.0));
         }
         out.push('\n');
         out.push_str(&format!(
             "initial {} {} {}",
-            self.initial_work.seeded as u8,
-            self.initial_work.pos,
-            self.initial_work.order.len()
+            p.initial_work.seeded as u8,
+            p.initial_work.pos,
+            p.initial_work.order.len()
         ));
-        for id in &self.initial_work.order {
+        for id in &p.initial_work.order {
             out.push_str(&format!(" {}", id.0));
         }
         out.push('\n');
         out.push_str(&format!(
             "terms {} {} {} {}\n",
-            term_name(self.initial_term),
-            term_name(self.congestion_term),
-            term_name(self.tpl_term),
-            term_name(self.coloring_term)
+            term_name(p.initial_term),
+            term_name(p.congestion_term),
+            term_name(p.tpl_term),
+            term_name(p.coloring_term)
         ));
         out.push_str(&format!(
             "congestion {} {} {}\n",
-            self.congestion_work.rotation, self.congestion_done as u8, self.congestion_clean as u8
+            p.congestion_work.rotation, p.congestion_done as u8, p.congestion_clean as u8
         ));
-        push_stats(&mut out, "cstats", self.congestion_stats);
-        out.push_str(&format!("cqueue {}\n", self.congestion_work.queue.len()));
-        for p in &self.congestion_work.queue {
-            out.push_str(&format!("cq {} {} {}\n", p.layer, p.x, p.y));
+        push_stats(&mut out, "cstats", p.congestion_stats);
+        out.push_str(&format!("cqueue {}\n", p.congestion_work.queue.len()));
+        for q in &p.congestion_work.queue {
+            out.push_str(&format!("cq {} {} {}\n", q.layer, q.x, q.y));
         }
         // The third field repeats `enforce_blocked`: the line keeps
         // its five fields so existing checkpoints stay readable and
         // byte-identical, and restore checks that the two agree.
         out.push_str(&format!(
             "tpl {} {} {} {} {}\n",
-            self.tpl_work.seq,
-            self.tpl_work.rotation,
+            p.tpl_work.seq,
+            p.tpl_work.rotation,
             self.state.enforce_blocked as u8,
-            self.tpl_done as u8,
-            self.tpl_clean as u8
+            p.tpl_done as u8,
+            p.tpl_clean as u8
         ));
-        push_stats(&mut out, "tstats", self.tpl_stats);
+        push_stats(&mut out, "tstats", p.tpl_stats);
         // The heap's pop order is a pure function of its key set
         // (sequence numbers are unique), so a sorted dump restores it
         // exactly — and keeps the snapshot bytes deterministic.
         let mut entries: Vec<(u8, u64, Violation)> =
-            self.tpl_work.heap.iter().map(|Reverse(e)| *e).collect();
+            p.tpl_work.heap.iter().map(|Reverse(e)| *e).collect();
         entries.sort_unstable();
         out.push_str(&format!("theap {}\n", entries.len()));
         for (_, seq, v) in entries {
             match v {
-                Violation::Congestion(p) => {
-                    out.push_str(&format!("tv C {} {} {} {}\n", p.layer, p.x, p.y, seq));
+                Violation::Congestion(q) => {
+                    out.push_str(&format!("tv C {} {} {} {}\n", q.layer, q.x, q.y, seq));
                 }
                 Violation::Fvp(vl, (ox, oy)) => {
                     out.push_str(&format!("tv F {vl} {ox} {oy} {seq}\n"));
@@ -261,8 +262,8 @@ impl<'a> RoutingSession<'a> {
         }
         out.push_str(&format!(
             "coloring {} {}\n",
-            self.coloring_attempts_done,
-            match self.colorable {
+            p.coloring_attempts_done,
+            match p.colorable {
                 None => "-",
                 Some(false) => "0",
                 Some(true) => "1",
@@ -376,98 +377,7 @@ impl<'a> RoutingSession<'a> {
         let mut t = l.split_whitespace();
         expect_key(&mut t, "enforce_blocked")?;
         let enforce_blocked = parse_bool(t.next(), "enforce_blocked")?;
-        let l = lines.line()?;
-        let mut t = l.split_whitespace();
-        expect_key(&mut t, "failed")?;
-        let n: usize = parse_num(t.next(), "failed count")?;
-        session.failed = parse_ids(&mut t, n, netlist.len(), "failed")?;
-        let l = lines.line()?;
-        let mut t = l.split_whitespace();
-        expect_key(&mut t, "initial")?;
-        let seeded = parse_bool(t.next(), "initial seeded")?;
-        let pos: usize = parse_num(t.next(), "initial pos")?;
-        let n: usize = parse_num(t.next(), "initial order count")?;
-        let order = parse_ids(&mut t, n, netlist.len(), "initial order")?;
-        if pos > order.len() {
-            return Err(durability("initial cursor past order end"));
-        }
-        session.initial_work = InitialWork { order, pos, seeded };
-        let l = lines.line()?;
-        let mut t = l.split_whitespace();
-        expect_key(&mut t, "terms")?;
-        session.initial_term = parse_term_opt(t.next().unwrap_or(""))?;
-        session.congestion_term = parse_term_opt(t.next().unwrap_or(""))?;
-        session.tpl_term = parse_term_opt(t.next().unwrap_or(""))?;
-        session.coloring_term = parse_term_opt(t.next().unwrap_or(""))?;
-        let l = lines.line()?;
-        let mut t = l.split_whitespace();
-        expect_key(&mut t, "congestion")?;
-        let c_rotation: usize = parse_num(t.next(), "congestion rotation")?;
-        session.congestion_done = parse_bool(t.next(), "congestion done")?;
-        session.congestion_clean = parse_bool(t.next(), "congestion clean")?;
-        let l = lines.line()?;
-        let mut t = l.split_whitespace();
-        expect_key(&mut t, "cstats")?;
-        session.congestion_stats = parse_stats(&mut t, "cstats")?;
-        let l = lines.line()?;
-        let mut t = l.split_whitespace();
-        expect_key(&mut t, "cqueue")?;
-        let n: usize = parse_num(t.next(), "cqueue count")?;
-        let mut cwork = CongestionWork {
-            rotation: c_rotation,
-            ..CongestionWork::default()
-        };
-        for _ in 0..n {
-            let l = lines.line()?;
-            let mut t = l.split_whitespace();
-            expect_key(&mut t, "cq")?;
-            cwork.queue.push_back(parse_point(&mut t, grid, "cq")?);
-        }
-        session.congestion_work = cwork;
-        let l = lines.line()?;
-        let mut t = l.split_whitespace();
-        expect_key(&mut t, "tpl")?;
-        let seq: u64 = parse_num(t.next(), "tpl seq")?;
-        let rotation: usize = parse_num(t.next(), "tpl rotation")?;
-        if parse_bool(t.next(), "tpl activated")? != enforce_blocked {
-            return Err(durability("tpl activated disagrees with enforce_blocked"));
-        }
-        session.tpl_done = parse_bool(t.next(), "tpl done")?;
-        session.tpl_clean = parse_bool(t.next(), "tpl clean")?;
-        let l = lines.line()?;
-        let mut t = l.split_whitespace();
-        expect_key(&mut t, "tstats")?;
-        session.tpl_stats = parse_stats(&mut t, "tstats")?;
-        let l = lines.line()?;
-        let mut t = l.split_whitespace();
-        expect_key(&mut t, "theap")?;
-        let n: usize = parse_num(t.next(), "theap count")?;
-        let mut twork = TplWork {
-            seq,
-            rotation,
-            ..TplWork::default()
-        };
-        for _ in 0..n {
-            let l = lines.line()?;
-            let mut t = l.split_whitespace();
-            expect_key(&mut t, "tv")?;
-            let (v, vseq) = parse_violation(&mut t, grid)?;
-            if vseq > seq {
-                return Err(durability("heap sequence exceeds counter"));
-            }
-            twork.heap.push(Reverse((v.rank(), vseq, v)));
-        }
-        session.tpl_work = twork;
-        let l = lines.line()?;
-        let mut t = l.split_whitespace();
-        expect_key(&mut t, "coloring")?;
-        session.coloring_attempts_done = parse_num(t.next(), "coloring attempts")?;
-        session.colorable = match t.next() {
-            Some("-") => None,
-            Some("0") => Some(false),
-            Some("1") => Some(true),
-            _ => return Err(durability("bad colorable flag")),
-        };
+        session.progress = parse_progress(&mut lines, grid, netlist.len(), enforce_blocked)?;
 
         // --- dense-state overlays ---
         let l = lines.line()?;
@@ -563,6 +473,102 @@ impl<'a> RoutingSession<'a> {
         simulated_replay_check(&session.state, &recorded, grid, netlist, &config)?;
         Ok(session)
     }
+}
+
+/// Parses the phase bookkeeping, from the `failed` line through the
+/// `coloring` line, into one [`Progress`] record. `enforce_blocked`
+/// is the value of the earlier line of that name, which the `tpl`
+/// line repeats.
+fn parse_progress(
+    lines: &mut LineReader<'_>,
+    grid: &RoutingGrid,
+    nets: usize,
+    enforce_blocked: bool,
+) -> Result<Progress, RouteError> {
+    let mut p = Progress::default();
+    let l = lines.line()?;
+    let mut t = l.split_whitespace();
+    expect_key(&mut t, "failed")?;
+    let n: usize = parse_num(t.next(), "failed count")?;
+    p.failed = parse_ids(&mut t, n, nets, "failed")?;
+    let l = lines.line()?;
+    let mut t = l.split_whitespace();
+    expect_key(&mut t, "initial")?;
+    let seeded = parse_bool(t.next(), "initial seeded")?;
+    let pos: usize = parse_num(t.next(), "initial pos")?;
+    let n: usize = parse_num(t.next(), "initial order count")?;
+    let order = parse_ids(&mut t, n, nets, "initial order")?;
+    if pos > order.len() {
+        return Err(durability("initial cursor past order end"));
+    }
+    p.initial_work = InitialWork { order, pos, seeded };
+    let l = lines.line()?;
+    let mut t = l.split_whitespace();
+    expect_key(&mut t, "terms")?;
+    p.initial_term = parse_term_opt(t.next().unwrap_or(""))?;
+    p.congestion_term = parse_term_opt(t.next().unwrap_or(""))?;
+    p.tpl_term = parse_term_opt(t.next().unwrap_or(""))?;
+    p.coloring_term = parse_term_opt(t.next().unwrap_or(""))?;
+    let l = lines.line()?;
+    let mut t = l.split_whitespace();
+    expect_key(&mut t, "congestion")?;
+    p.congestion_work.rotation = parse_num(t.next(), "congestion rotation")?;
+    p.congestion_done = parse_bool(t.next(), "congestion done")?;
+    p.congestion_clean = parse_bool(t.next(), "congestion clean")?;
+    let l = lines.line()?;
+    let mut t = l.split_whitespace();
+    expect_key(&mut t, "cstats")?;
+    p.congestion_stats = parse_stats(&mut t, "cstats")?;
+    let l = lines.line()?;
+    let mut t = l.split_whitespace();
+    expect_key(&mut t, "cqueue")?;
+    let n: usize = parse_num(t.next(), "cqueue count")?;
+    for _ in 0..n {
+        let l = lines.line()?;
+        let mut t = l.split_whitespace();
+        expect_key(&mut t, "cq")?;
+        let q = parse_point(&mut t, grid, "cq")?;
+        p.congestion_work.queue.push_back(q);
+    }
+    let l = lines.line()?;
+    let mut t = l.split_whitespace();
+    expect_key(&mut t, "tpl")?;
+    p.tpl_work.seq = parse_num(t.next(), "tpl seq")?;
+    p.tpl_work.rotation = parse_num(t.next(), "tpl rotation")?;
+    if parse_bool(t.next(), "tpl activated")? != enforce_blocked {
+        return Err(durability("tpl activated disagrees with enforce_blocked"));
+    }
+    p.tpl_done = parse_bool(t.next(), "tpl done")?;
+    p.tpl_clean = parse_bool(t.next(), "tpl clean")?;
+    let l = lines.line()?;
+    let mut t = l.split_whitespace();
+    expect_key(&mut t, "tstats")?;
+    p.tpl_stats = parse_stats(&mut t, "tstats")?;
+    let l = lines.line()?;
+    let mut t = l.split_whitespace();
+    expect_key(&mut t, "theap")?;
+    let n: usize = parse_num(t.next(), "theap count")?;
+    for _ in 0..n {
+        let l = lines.line()?;
+        let mut t = l.split_whitespace();
+        expect_key(&mut t, "tv")?;
+        let (v, vseq) = parse_violation(&mut t, grid)?;
+        if vseq > p.tpl_work.seq {
+            return Err(durability("heap sequence exceeds counter"));
+        }
+        p.tpl_work.heap.push(Reverse((v.rank(), vseq, v)));
+    }
+    let l = lines.line()?;
+    let mut t = l.split_whitespace();
+    expect_key(&mut t, "coloring")?;
+    p.coloring_attempts_done = parse_num(t.next(), "coloring attempts")?;
+    p.colorable = match t.next() {
+        Some("-") => None,
+        Some("0") => Some(false),
+        Some("1") => Some(true),
+        _ => return Err(durability("bad colorable flag")),
+    };
+    Ok(p)
 }
 
 /// Verifies header + trailing checksum; returns the body (everything

@@ -2,15 +2,14 @@
 //! of [`crate::search`], with escalating search windows.
 //!
 //! The kernel itself (search states, turn pruning, cost model) lives
-//! in [`crate::search`]; this module re-exports its vocabulary types
-//! so existing imports keep working.
+//! in [`crate::search`].
 
 use std::collections::hash_map::Entry;
 
 use sadp_grid::{Axis, Dir, GridPoint, Net, NetId, RoutedNet, Via, WireEdge};
 
 use crate::search::dir_code;
-pub use crate::search::{route_connection, FoundPath, SearchScratch, TreeArms, Window};
+use crate::search::{route_connection, FoundPath, SearchScratch, TreeArms, Window};
 use crate::state::{pin_vias, RouterState};
 
 /// Routes a whole (multi-pin) net: grows a tree from the first pin,

@@ -8,7 +8,7 @@ use std::time::Duration;
 use benchgen::BenchSpec;
 use sadp_grid::{write_solution, SadpKind};
 use sadp_router::{RouteBudget, RouterConfig, RoutingOutcome, RoutingSession, Termination};
-use sadp_trace::{JsonReport, NoopObserver, RouteObserver};
+use sadp_trace::{EventLog, JsonReport, NoopObserver, Phase, RouteObserver};
 
 fn fingerprint(out: &RoutingOutcome) -> (String, [bool; 4], u64, u64) {
     (
@@ -117,4 +117,55 @@ fn expansion_capped_session_resumes_to_completion() {
     let out = session.try_finish(&mut obs).expect("routing flow");
     assert_eq!(out.termination, Termination::Converged);
     assert!(out.routed_all);
+}
+
+/// A configured iteration cap ends a phase; a budget only pauses it.
+/// A capped run driven through the four phase calls in budget slices
+/// ends where `try_finish` ends, cap stop included, and never re-runs
+/// the capped phase once the later phases are done.
+#[test]
+fn capped_phase_is_done_under_budget_slices() {
+    let spec = BenchSpec::by_name("ecc")
+        .expect("paper circuit")
+        .scaled(0.25);
+    let (grid, netlist) = (spec.grid(), spec.generate(1));
+    let config = RouterConfig::builder(SadpKind::Sim)
+        .dvi(true)
+        .tpl(true)
+        .max_congestion_iters(1)
+        .build()
+        .expect("valid config");
+
+    let mut session = RoutingSession::new(&grid, &netlist, config);
+    let negotiated = session.negotiate(&mut NoopObserver);
+    let unsliced = session.try_finish(&mut NoopObserver).expect("routing flow");
+    assert_eq!(
+        unsliced.termination,
+        Termination::IterationCap,
+        "negotiation must need more than the one capped iteration"
+    );
+
+    let mut session = RoutingSession::new(&grid, &netlist, config);
+    let mut log = EventLog::new();
+    let mut slices = 0usize;
+    while !session.converged() {
+        session.set_budget(RouteBudget::unlimited().with_max_phase_iters(16));
+        step(&mut session, &mut log);
+        slices += 1;
+        assert!(slices < 100_000, "sliced session makes no progress");
+    }
+    let activations = log
+        .phase_sequence()
+        .into_iter()
+        .filter(|&p| p == Phase::CongestionNegotiation)
+        .count();
+    assert_eq!(activations, 1, "the capped phase ran again");
+
+    let mut quiet = EventLog::new();
+    assert_eq!(session.negotiate(&mut quiet), negotiated);
+    assert!(quiet.events().is_empty(), "a done phase opened a span");
+
+    let sliced = session.try_finish(&mut NoopObserver).expect("routing flow");
+    assert_eq!(sliced.termination, unsliced.termination);
+    assert_eq!(fingerprint(&sliced), fingerprint(&unsliced));
 }
