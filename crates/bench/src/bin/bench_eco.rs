@@ -102,8 +102,7 @@ fn run_cell(name: &str, spec: &BenchSpec, k: usize, seed: u64, reps: usize) -> (
     let grid = spec.grid();
     let nl = spec.generate(seed);
     let delta = make_delta(&grid, &nl, k);
-    let mut edited = nl.clone();
-    delta.apply_to_netlist(&mut edited);
+    let edited = delta.apply(&grid, &nl).expect("bench delta is valid");
     let config = RouterConfig::full(SadpKind::Sim);
     let mut obs = NoopObserver;
 

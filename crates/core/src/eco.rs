@@ -45,13 +45,9 @@ pub struct EcoPlan {
 
 /// Computes the [`EcoPlan`] of a delta against the pre-edit router
 /// state and netlist. See the [module docs](self) for the membership
-/// rules. The delta must have passed
-/// [`LayoutDelta::validate`] against the same netlist.
+/// rules. The delta must have passed [`LayoutDelta::apply`] against
+/// the same netlist.
 pub fn analyze(state: &RouterState, netlist: &Netlist, delta: &LayoutDelta) -> EcoPlan {
-    // Walk the ops in order over a simulated netlist so mid-delta
-    // edits (add then move, move then remove) see the definition in
-    // force at that point, exactly like the real application will.
-    let mut sim = netlist.clone();
     let mut footprint: BTreeSet<(i32, i32)> = BTreeSet::new();
     let mut forced: BTreeSet<NetId> = BTreeSet::new();
     let mut removed: Vec<NetId> = Vec::new();
@@ -62,16 +58,17 @@ pub fn analyze(state: &RouterState, netlist: &Netlist, delta: &LayoutDelta) -> E
                 for p in net.pins() {
                     footprint.insert((p.x, p.y));
                 }
-                sim.push(net.clone());
                 added += 1;
             }
             DeltaOp::RemoveNet(id) => {
-                if let Some(net) = sim.get(*id) {
+                // A base net contributes its base pins. Every pin of a
+                // net the delta added or moved earlier is already in
+                // the footprint from that op.
+                if let Some(net) = netlist.get(*id) {
                     for p in net.pins() {
                         footprint.insert((p.x, p.y));
                     }
                 }
-                sim.retire(*id);
                 removed.push(*id);
             }
             DeltaOp::MovePad { net, from, to } => {

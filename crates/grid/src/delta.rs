@@ -125,20 +125,21 @@ impl LayoutDelta {
         self.ops.is_empty()
     }
 
-    /// Checks every op against `grid` and `netlist` *as if the ops
-    /// were applied in order*: removed/edited ids must name live nets
-    /// (a net added earlier in the same delta may be edited later),
-    /// pins and blockages must lie inside the grid, blockage layers
-    /// must be routing layers, and a moved pad must currently exist.
+    /// Applies the ops in order to a copy of `netlist` and returns the
+    /// edited netlist, checking each op against `grid` and the netlist
+    /// as edited so far: removed/edited ids must name live nets (a net
+    /// added earlier in the same delta may be edited later), pins and
+    /// blockages must lie inside the grid, blockage layers must be
+    /// routing layers, and a moved pad must currently exist. Blockage
+    /// ops leave the netlist as it is; the router applies those to its
+    /// own state.
     ///
     /// # Errors
     ///
     /// [`RouteError::InvalidNetlist`] or [`RouteError::InvalidGrid`]
     /// naming the first offending op.
-    pub fn validate(&self, grid: &RoutingGrid, netlist: &Netlist) -> Result<(), RouteError> {
-        // Simulate liveness without cloning net payloads: per-slot
-        // state plus the pin set of nets this delta itself touches.
-        let mut sim = netlist.clone();
+    pub fn apply(&self, grid: &RoutingGrid, netlist: &Netlist) -> Result<Netlist, RouteError> {
+        let mut edited = netlist.clone();
         for op in &self.ops {
             match op {
                 DeltaOp::AddNet(net) => {
@@ -154,19 +155,18 @@ impl LayoutDelta {
                             });
                         }
                     }
-                    sim.push(net.clone());
+                    edited.push(net.clone());
                 }
                 DeltaOp::RemoveNet(id) => {
-                    if sim.get(*id).is_none() {
+                    if !edited.retire(*id) {
                         return Err(RouteError::InvalidNetlist {
                             net: String::new(),
                             reason: format!("delta removes unknown or retired {id}"),
                         });
                     }
-                    sim.retire(*id);
                 }
                 DeltaOp::MovePad { net, from, to } => {
-                    let Some(n) = sim.get(*net) else {
+                    let Some(n) = edited.get(*net) else {
                         return Err(RouteError::InvalidNetlist {
                             net: String::new(),
                             reason: format!("delta moves a pad of unknown or retired {net}"),
@@ -189,7 +189,7 @@ impl LayoutDelta {
                         });
                     }
                     let moved = move_pad_net(n, *from, *to)?;
-                    sim.replace(*net, moved);
+                    edited.replace(*net, moved);
                 }
                 DeltaOp::AddBlockage { layer, x, y } | DeltaOp::RemoveBlockage { layer, x, y } => {
                     if !grid.is_routing_layer(*layer) {
@@ -209,37 +209,7 @@ impl LayoutDelta {
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Applies the netlist-affecting ops to `netlist` in order and
-    /// returns the ids of nets this delta added. Blockage ops do not
-    /// touch the netlist; the router applies those to its own state.
-    ///
-    /// Call [`LayoutDelta::validate`] first — this method panics on
-    /// ops validation would have rejected.
-    pub fn apply_to_netlist(&self, netlist: &mut Netlist) -> Vec<NetId> {
-        let mut added = Vec::new();
-        for op in &self.ops {
-            match op {
-                DeltaOp::AddNet(net) => added.push(netlist.push(net.clone())),
-                DeltaOp::RemoveNet(id) => {
-                    assert!(netlist.retire(*id), "delta removes unknown {id}");
-                }
-                DeltaOp::MovePad { net, from, to } => {
-                    let n = netlist.get(*net).unwrap_or_else(|| {
-                        panic!("delta moves a pad of unknown {net}");
-                    });
-                    let moved = match move_pad_net(n, *from, *to) {
-                        Ok(m) => m,
-                        Err(e) => panic!("{e}"),
-                    };
-                    netlist.replace(*net, moved);
-                }
-                DeltaOp::AddBlockage { .. } | DeltaOp::RemoveBlockage { .. } => {}
-            }
-        }
-        added
+        Ok(edited)
     }
 }
 
@@ -434,48 +404,47 @@ mod tests {
     }
 
     #[test]
-    fn validate_checks_liveness_in_order() {
+    fn apply_checks_liveness_in_order() {
         let (grid, nl) = base();
         let mut d = LayoutDelta::new();
         d.remove_net(NetId(0));
         d.remove_net(NetId(0)); // already retired
-        assert!(d.validate(&grid, &nl).is_err());
+        assert!(d.apply(&grid, &nl).is_err());
 
         // A net added by the delta may be edited later in the delta.
         let mut d = LayoutDelta::new();
         d.add_net(Net::new("n", vec![Pin::new(0, 0), Pin::new(3, 3)]));
         d.move_pad(NetId(2), Pin::new(3, 3), Pin::new(4, 4));
-        assert!(d.validate(&grid, &nl).is_ok());
+        assert!(d.apply(&grid, &nl).is_ok());
     }
 
     #[test]
-    fn validate_checks_bounds_and_layers() {
+    fn apply_checks_bounds_and_layers() {
         let (grid, nl) = base();
         let mut d = LayoutDelta::new();
         d.add_blockage(0, 1, 1); // metal 1 is not a routing layer
-        assert!(d.validate(&grid, &nl).is_err());
+        assert!(d.apply(&grid, &nl).is_err());
         let mut d = LayoutDelta::new();
         d.add_blockage(1, 99, 1);
-        assert!(d.validate(&grid, &nl).is_err());
+        assert!(d.apply(&grid, &nl).is_err());
         let mut d = LayoutDelta::new();
         d.move_pad(NetId(0), Pin::new(5, 5), Pin::new(6, 6)); // not a pin
-        assert!(d.validate(&grid, &nl).is_err());
+        assert!(d.apply(&grid, &nl).is_err());
         let mut d = LayoutDelta::new();
         d.add_net(Net::new("n", vec![Pin::new(0, 0), Pin::new(99, 0)]));
-        assert!(d.validate(&grid, &nl).is_err());
+        assert!(d.apply(&grid, &nl).is_err());
     }
 
     #[test]
     fn apply_retires_appends_and_moves() {
-        let (grid, mut nl) = base();
+        let (grid, base_nl) = base();
         let mut d = LayoutDelta::new();
         d.remove_net(NetId(0));
         d.add_net(Net::new("c", vec![Pin::new(3, 3), Pin::new(6, 6)]));
         d.move_pad(NetId(1), Pin::new(2, 5), Pin::new(2, 7));
         d.add_blockage(1, 4, 4);
-        d.validate(&grid, &nl).unwrap();
-        let added = d.apply_to_netlist(&mut nl);
-        assert_eq!(added, vec![NetId(2)]);
+        let nl = d.apply(&grid, &base_nl).unwrap();
+        assert_eq!(base_nl.len(), 2, "the input netlist is left as it was");
         assert_eq!(nl.len(), 3); // slots, including the tombstone
         assert_eq!(nl.active_len(), 2);
         assert!(nl.get(NetId(0)).is_none());

@@ -144,7 +144,7 @@ impl JobSource {
                 let (grid, netlist) = base.materialize()?;
                 let d =
                     sadp_grid::parse_delta(delta).map_err(|e| format!("delta parse error: {e}"))?;
-                d.validate(&grid, &netlist)
+                d.apply(&grid, &netlist)
                     .map_err(|e| format!("invalid delta: {e}"))?;
                 Ok((grid, netlist))
             }

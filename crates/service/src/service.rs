@@ -1078,12 +1078,10 @@ fn execute_job(
                 Ok(d) => d,
                 Err(e) => return fail_source(format!("delta parse error: {e}")),
             };
-            if let Err(e) = delta.validate(&grid, &netlist) {
-                return fail_source(format!("invalid delta: {e}"));
+            match delta.apply(&grid, &netlist) {
+                Ok(edited) => Some((delta, edited)),
+                Err(e) => return fail_source(format!("invalid delta: {e}")),
             }
-            let mut edited = netlist.clone();
-            delta.apply_to_netlist(&mut edited);
-            Some((delta, edited))
         }
     };
     let config = match request.router_config() {
