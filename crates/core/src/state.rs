@@ -370,7 +370,7 @@ impl RouterState {
         self.view.multi_owner_points()
     }
 
-    /// Distinct owners of a metal point, in first-registration order.
+    /// Distinct owners of a metal point, in ascending id order.
     pub fn owners_of(&self, p: GridPoint) -> Vec<NetId> {
         let mut distinct: Vec<NetId> = Vec::new();
         self.owners_into(p, &mut distinct);

@@ -90,6 +90,26 @@ fn checkpoint_restored_run_matches_uninterrupted_fingerprint() {
     assert_eq!(fingerprint(&restored), fingerprint(&uninterrupted));
 }
 
+/// A restored session rebuilds its occupancy view in net-id order,
+/// whatever order the live run installed routes in; the rip-up
+/// victims it picks from shared cells must not depend on that. At this
+/// size some cells are shared when a slice ends.
+#[test]
+fn restore_at_every_slice_matches_uninterrupted_run_at_quarter_scale() {
+    let spec = BenchSpec::by_name("ecc")
+        .expect("paper circuit")
+        .scaled(0.25);
+    let (grid, netlist) = (spec.grid(), spec.generate(1));
+    let config = RouterConfig::full(SadpKind::Sim);
+    let uninterrupted = RoutingSession::new(&grid, &netlist, config)
+        .try_finish(&mut NoopObserver)
+        .expect("routing flow");
+    let (restored, restores) = run_through_checkpoints(&grid, &netlist, config, 16);
+    assert!(restores > 1, "no checkpoint stop to restore from");
+    assert_eq!(restored.termination, Termination::Converged);
+    assert_eq!(fingerprint(&restored), fingerprint(&uninterrupted));
+}
+
 #[test]
 fn checkpoint_is_deterministic_and_round_trips() {
     let (grid, netlist, config) = instance();

@@ -56,8 +56,9 @@ const EMPTY_SLOT: Slot = Slot {
     data: 0,
 };
 
-/// Appends `id` to the owner multiset of `slot`, spilling the cell to
-/// the overflow table on the first second-net registration.
+/// Adds `id` to the owner multiset of `slot`, spilling the cell to the
+/// overflow table on the first second-net registration. Overflow lists
+/// stay in ascending id order.
 fn slot_add<K>(
     slot: &mut Slot,
     spill: &mut Vec<(K, Vec<NetId>)>,
@@ -72,15 +73,16 @@ fn slot_add<K>(
             data: 1,
         };
     } else if slot.owner == SPILLED {
-        spill[slot.data as usize].1.push(id);
+        let owners = &mut spill[slot.data as usize].1;
+        owners.insert(owners.partition_point(|&o| o <= id), id);
     } else if slot.owner == id.0 {
         slot.data += 1;
     } else {
         // Second distinct net: expand the inline multiset into an
-        // overflow entry, preserving registration order.
+        // overflow entry.
         let mut owners = Vec::with_capacity(slot.data as usize + 1);
         owners.resize(slot.data as usize, NetId(slot.owner));
-        owners.push(id);
+        owners.insert(owners.partition_point(|&o| o <= id), id);
         let idx = match free.pop() {
             Some(i) => {
                 spill[i as usize] = (key, owners);
@@ -106,7 +108,7 @@ fn slot_remove<K>(slot: &mut Slot, spill: &mut [(K, Vec<NetId>)], free: &mut Vec
         let entry = slot.data;
         let owners = &mut spill[entry as usize].1;
         if let Some(pos) = owners.iter().position(|&o| o == id) {
-            owners.swap_remove(pos);
+            owners.remove(pos);
         }
         if owners.is_empty() {
             free.push(entry);
@@ -129,7 +131,7 @@ fn slot_remove<K>(slot: &mut Slot, spill: &mut [(K, Vec<NetId>)], free: &mut Vec
 }
 
 /// Iterator over the owners of one occupancy cell, with multiplicity,
-/// in registration order.
+/// in ascending id order.
 #[derive(Debug, Clone)]
 pub struct OwnerIter<'a>(OwnerIterInner<'a>);
 
@@ -289,13 +291,15 @@ impl LayoutView {
     }
 
     /// The nets owning metal point `p`, with multiplicity, in
-    /// registration order (a net registered through several
-    /// routes/seeds appears several times).
+    /// ascending id order (a net registered through several
+    /// routes/seeds appears several times). The order depends only on
+    /// the view's contents, never on the order routes were added.
     pub fn owners(&self, p: GridPoint) -> OwnerIter<'_> {
         owner_iter(self.points.get(p), &self.point_spill)
     }
 
-    /// The nets owning the via at `(via_layer, x, y)`.
+    /// The nets owning the via at `(via_layer, x, y)`, in ascending id
+    /// order.
     pub fn via_owners(&self, via_layer: u8, x: i32, y: i32) -> OwnerIter<'_> {
         owner_iter(
             self.vias.get(GridPoint::new(via_layer, x, y)),
@@ -832,13 +836,12 @@ pub mod reference {
         /// Registers a net's route.
         pub fn add_route(&mut self, id: NetId, route: &RoutedNet) {
             for p in route.covered_points() {
-                self.point_owner.entry(p).or_default().push(id);
+                let owners = self.point_owner.entry(p).or_default();
+                owners.insert(owners.partition_point(|&o| o <= id), id);
             }
             for v in route.vias() {
-                self.via_owner
-                    .entry((v.below, v.x, v.y))
-                    .or_default()
-                    .push(id);
+                let owners = self.via_owner.entry((v.below, v.x, v.y)).or_default();
+                owners.insert(owners.partition_point(|&o| o <= id), id);
             }
         }
 
@@ -847,7 +850,7 @@ pub mod reference {
             for p in route.covered_points() {
                 if let Some(owners) = self.point_owner.get_mut(&p) {
                     if let Some(pos) = owners.iter().position(|&o| o == id) {
-                        owners.swap_remove(pos);
+                        owners.remove(pos);
                     }
                     if owners.is_empty() {
                         self.point_owner.remove(&p);
@@ -858,7 +861,7 @@ pub mod reference {
                 let key = (v.below, v.x, v.y);
                 if let Some(owners) = self.via_owner.get_mut(&key) {
                     if let Some(pos) = owners.iter().position(|&o| o == id) {
-                        owners.swap_remove(pos);
+                        owners.remove(pos);
                     }
                     if owners.is_empty() {
                         self.via_owner.remove(&key);
@@ -879,7 +882,8 @@ pub mod reference {
             self.via_owner.contains_key(&(via_layer, x, y))
         }
 
-        /// The nets owning metal point `p` (with multiplicity).
+        /// The nets owning metal point `p` (with multiplicity), in
+        /// ascending id order.
         pub fn owners(&self, p: GridPoint) -> &[NetId] {
             self.point_owner.get(&p).map(Vec::as_slice).unwrap_or(&[])
         }
