@@ -7,9 +7,9 @@
 //! an absolute [`Instant`] and the expansion cap becomes an absolute
 //! stop value of the session's cumulative expansion counter. Each
 //! phase activation derives its [`PhaseLimits`] from the active budget
-//! and the phase's own configured iteration cap, and checks
-//! [`PhaseLimits::stop_reason`] *between* iterations — never inside
-//! the timed search kernel — so exhaustion always stops on a
+//! and what is left of the phase's own configured iteration cap, and
+//! checks [`PhaseLimits::stop_reason`] *between* iterations — never
+//! inside the timed search kernel — so exhaustion always stops on a
 //! consistent state that a later activation can resume from.
 
 use std::time::{Duration, Instant};
@@ -103,7 +103,11 @@ impl RouteBudget {
     }
 
     /// Caps the iterations of each *phase activation* (the configured
-    /// per-phase caps still apply; the smaller wins).
+    /// per-phase caps still apply; the smaller wins). A stop by this
+    /// cap only pauses the phase. Each phase call of a session first
+    /// re-activates every unfinished earlier phase, each under its own
+    /// count of `n`, so one pass of the four phase calls can run up to
+    /// `4n` iterations.
     pub fn with_max_phase_iters(mut self, n: usize) -> RouteBudget {
         self.max_phase_iters = Some(n);
         self
@@ -167,13 +171,11 @@ impl ActiveBudget {
         }
     }
 
-    /// Derives the limits of one phase activation whose configured
-    /// iteration cap is `config_cap`.
-    pub(crate) fn limits(&self, config_cap: usize) -> PhaseLimits {
+    /// Derives the limits of one phase activation that may run at most
+    /// `cap_left` more iterations of its phase's configured cap.
+    pub(crate) fn limits(&self, cap_left: usize) -> PhaseLimits {
         PhaseLimits {
-            max_iters: self
-                .max_phase_iters
-                .map_or(config_cap, |b| b.min(config_cap)),
+            max_iters: self.max_phase_iters.map_or(cap_left, |b| b.min(cap_left)),
             deadline: self.deadline,
             expansion_stop: self.expansion_stop,
         }

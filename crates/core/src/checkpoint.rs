@@ -7,13 +7,16 @@
 //! cost journals (replayed verbatim by `RouterState::restore_route`,
 //! so restore is order-independent — recomputing costs on restore
 //! would not be), the negotiated-congestion history, the pending work
-//! queues of every phase (congestion queue verbatim, TPL heap as its
-//! key set — unique sequence numbers make the pop order a pure
-//! function of the set), phase terminations, and the cumulative
-//! expansion counter. Restoring and continuing under the same budget
-//! slicing therefore produces the same `outcome_fingerprint` as an
-//! uninterrupted run — the durability contract the service's
-//! journal-replay recovery relies on.
+//! of every phase (the congestion heap as its points in pop order,
+//! renumbered on restore; the TPL heap as its key set — unique
+//! sequence numbers make the pop order a pure function of the set),
+//! phase terminations, and the cumulative expansion counter. The two
+//! R&R `done` fields are derived (converged, or the configured cap
+//! spent) and restore checks them against that rule. Restoring and
+//! continuing under the same budget slicing therefore produces the
+//! same `outcome_fingerprint` as an uninterrupted run — the
+//! durability contract the service's journal-replay recovery relies
+//! on.
 //!
 //! Format: line-oriented text, a `sadp-checkpoint v1` header, a
 //! binding line tying the snapshot to its netlist and configuration
@@ -218,37 +221,47 @@ impl<'a> RoutingSession<'a> {
         out.push_str(&format!(
             "terms {} {} {} {}\n",
             term_name(p.initial_term),
-            term_name(p.congestion_term),
-            term_name(p.tpl_term),
+            term_name(p.congestion.term),
+            term_name(p.tpl.term),
             term_name(p.coloring_term)
         ));
+        // The `done` fields follow from the rest of the snapshot and
+        // the configured caps; restore checks that they agree.
+        let c = &p.congestion;
         out.push_str(&format!(
             "congestion {} {} {}\n",
-            p.congestion_work.rotation, p.congestion_done as u8, p.congestion_clean as u8
+            c.work.rotation,
+            c.done(self.auto_cap(self.config.max_congestion_iters)) as u8,
+            c.clean as u8
         ));
-        push_stats(&mut out, "cstats", p.congestion_stats);
-        out.push_str(&format!("cqueue {}\n", p.congestion_work.queue.len()));
-        for q in &p.congestion_work.queue {
-            out.push_str(&format!("cq {} {} {}\n", q.layer, q.x, q.y));
+        push_stats(&mut out, "cstats", c.stats);
+        // The congestion heap holds only congested points, which pop
+        // in push order: its points in that order restore it.
+        let queue = c.work.pending();
+        out.push_str(&format!("cqueue {}\n", queue.len()));
+        for (_, _, v) in queue {
+            if let Violation::Congestion(q) = v {
+                out.push_str(&format!("cq {} {} {}\n", q.layer, q.x, q.y));
+            }
         }
         // The third field repeats `enforce_blocked`: the line keeps
         // its five fields so existing checkpoints stay readable and
         // byte-identical, and restore checks that the two agree.
+        let t = &p.tpl;
         out.push_str(&format!(
             "tpl {} {} {} {} {}\n",
-            p.tpl_work.seq,
-            p.tpl_work.rotation,
+            t.work.seq,
+            t.work.rotation,
             self.state.enforce_blocked as u8,
-            p.tpl_done as u8,
-            p.tpl_clean as u8
+            t.done(self.auto_cap(self.config.max_tpl_iters)) as u8,
+            t.clean as u8
         ));
-        push_stats(&mut out, "tstats", p.tpl_stats);
+        push_stats(&mut out, "tstats", t.stats);
         // The heap's pop order is a pure function of its key set
-        // (sequence numbers are unique), so a sorted dump restores it
-        // exactly — and keeps the snapshot bytes deterministic.
-        let mut entries: Vec<(u8, u64, Violation)> =
-            p.tpl_work.heap.iter().map(|Reverse(e)| *e).collect();
-        entries.sort_unstable();
+        // (sequence numbers are unique), so a dump in pop order
+        // restores it exactly — and keeps the snapshot bytes
+        // deterministic.
+        let entries = t.work.pending();
         out.push_str(&format!("theap {}\n", entries.len()));
         for (_, seq, v) in entries {
             match v {
@@ -377,7 +390,11 @@ impl<'a> RoutingSession<'a> {
         let mut t = l.split_whitespace();
         expect_key(&mut t, "enforce_blocked")?;
         let enforce_blocked = parse_bool(t.next(), "enforce_blocked")?;
-        session.progress = parse_progress(&mut lines, grid, netlist.len(), enforce_blocked)?;
+        let caps = (
+            session.auto_cap(config.max_congestion_iters),
+            session.auto_cap(config.max_tpl_iters),
+        );
+        session.progress = parse_progress(&mut lines, grid, netlist.len(), enforce_blocked, caps)?;
 
         // --- dense-state overlays ---
         let l = lines.line()?;
@@ -478,12 +495,14 @@ impl<'a> RoutingSession<'a> {
 /// Parses the phase bookkeeping, from the `failed` line through the
 /// `coloring` line, into one [`Progress`] record. `enforce_blocked`
 /// is the value of the earlier line of that name, which the `tpl`
-/// line repeats.
+/// line repeats; `caps` are the congestion and TPL iteration caps the
+/// two `done` fields are checked against.
 fn parse_progress(
     lines: &mut LineReader<'_>,
     grid: &RoutingGrid,
     nets: usize,
     enforce_blocked: bool,
+    caps: (usize, usize),
 ) -> Result<Progress, RouteError> {
     let mut p = Progress::default();
     let l = lines.line()?;
@@ -506,19 +525,21 @@ fn parse_progress(
     let mut t = l.split_whitespace();
     expect_key(&mut t, "terms")?;
     p.initial_term = parse_term_opt(t.next().unwrap_or(""))?;
-    p.congestion_term = parse_term_opt(t.next().unwrap_or(""))?;
-    p.tpl_term = parse_term_opt(t.next().unwrap_or(""))?;
+    p.congestion.term = parse_term_opt(t.next().unwrap_or(""))?;
+    p.tpl.term = parse_term_opt(t.next().unwrap_or(""))?;
     p.coloring_term = parse_term_opt(t.next().unwrap_or(""))?;
     let l = lines.line()?;
     let mut t = l.split_whitespace();
     expect_key(&mut t, "congestion")?;
-    p.congestion_work.rotation = parse_num(t.next(), "congestion rotation")?;
-    p.congestion_done = parse_bool(t.next(), "congestion done")?;
-    p.congestion_clean = parse_bool(t.next(), "congestion clean")?;
+    p.congestion.work.rotation = parse_num(t.next(), "congestion rotation")?;
+    if parse_bool(t.next(), "congestion done")? != p.congestion.done(caps.0) {
+        return Err(durability("congestion done disagrees with its phase"));
+    }
+    p.congestion.clean = parse_bool(t.next(), "congestion clean")?;
     let l = lines.line()?;
     let mut t = l.split_whitespace();
     expect_key(&mut t, "cstats")?;
-    p.congestion_stats = parse_stats(&mut t, "cstats")?;
+    p.congestion.stats = parse_stats(&mut t, "cstats")?;
     let l = lines.line()?;
     let mut t = l.split_whitespace();
     expect_key(&mut t, "cqueue")?;
@@ -528,22 +549,24 @@ fn parse_progress(
         let mut t = l.split_whitespace();
         expect_key(&mut t, "cq")?;
         let q = parse_point(&mut t, grid, "cq")?;
-        p.congestion_work.queue.push_back(q);
+        p.congestion.work.push(Violation::Congestion(q));
     }
     let l = lines.line()?;
     let mut t = l.split_whitespace();
     expect_key(&mut t, "tpl")?;
-    p.tpl_work.seq = parse_num(t.next(), "tpl seq")?;
-    p.tpl_work.rotation = parse_num(t.next(), "tpl rotation")?;
+    p.tpl.work.seq = parse_num(t.next(), "tpl seq")?;
+    p.tpl.work.rotation = parse_num(t.next(), "tpl rotation")?;
     if parse_bool(t.next(), "tpl activated")? != enforce_blocked {
         return Err(durability("tpl activated disagrees with enforce_blocked"));
     }
-    p.tpl_done = parse_bool(t.next(), "tpl done")?;
-    p.tpl_clean = parse_bool(t.next(), "tpl clean")?;
+    if parse_bool(t.next(), "tpl done")? != p.tpl.done(caps.1) {
+        return Err(durability("tpl done disagrees with its phase"));
+    }
+    p.tpl.clean = parse_bool(t.next(), "tpl clean")?;
     let l = lines.line()?;
     let mut t = l.split_whitespace();
     expect_key(&mut t, "tstats")?;
-    p.tpl_stats = parse_stats(&mut t, "tstats")?;
+    p.tpl.stats = parse_stats(&mut t, "tstats")?;
     let l = lines.line()?;
     let mut t = l.split_whitespace();
     expect_key(&mut t, "theap")?;
@@ -553,10 +576,10 @@ fn parse_progress(
         let mut t = l.split_whitespace();
         expect_key(&mut t, "tv")?;
         let (v, vseq) = parse_violation(&mut t, grid)?;
-        if vseq > p.tpl_work.seq {
+        if vseq > p.tpl.work.seq {
             return Err(durability("heap sequence exceeds counter"));
         }
-        p.tpl_work.heap.push(Reverse((v.rank(), vseq, v)));
+        p.tpl.work.heap.push(Reverse((v.rank(), vseq, v)));
     }
     let l = lines.line()?;
     let mut t = l.split_whitespace();

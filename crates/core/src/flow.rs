@@ -36,8 +36,7 @@ use sadp_trace::{Counter, JsonReport, Phase, RouteObserver};
 use crate::budget::{ActiveBudget, RouteBudget, Termination};
 use crate::costs::CostParams;
 use crate::rnr::{
-    ensure_colorable, initial_routing, negotiate_congestion, tpl_violation_removal, CongestionWork,
-    InitialWork, PinIndex, RnrStats, TplWork,
+    ensure_colorable, initial_routing, rip_up_and_reroute, InitialWork, PinIndex, RnrStats, RnrWork,
 };
 use crate::search::SearchScratch;
 use crate::state::RouterState;
@@ -80,9 +79,13 @@ pub struct RouterConfig {
     /// Cost parameters (Table II).
     pub params: CostParams,
     /// Iteration cap for the congestion R&R phase (0 = auto from
-    /// netlist size).
+    /// netlist size). It counts the phase's iterations across every
+    /// activation, so budget slices and checkpoint restores do not
+    /// extend it; an ECO warm start ([`RoutingSession::apply_delta`])
+    /// restarts the count.
     pub max_congestion_iters: usize,
-    /// Iteration cap for the TPL R&R phase (0 = auto).
+    /// Iteration cap for the TPL R&R phase (0 = auto), counted like
+    /// `max_congestion_iters`.
     pub max_tpl_iters: usize,
     /// Attempts of the final coloring-fix loop.
     pub coloring_attempts: usize,
@@ -374,6 +377,26 @@ impl Stage {
     }
 }
 
+/// One R&R phase's bookkeeping: its resumable work, how its last
+/// activation stopped, whether it ended clean, and its counters
+/// accumulated over every activation (an ECO warm start keeps them).
+#[derive(Debug, Default)]
+pub(crate) struct RnrProgress {
+    pub(crate) work: RnrWork,
+    pub(crate) term: Option<Termination>,
+    pub(crate) clean: bool,
+    pub(crate) stats: RnrStats,
+}
+
+impl RnrProgress {
+    /// `true` when the phase converged or its configured iteration
+    /// `cap` is spent: `work.rotation` counts the phase's iterations
+    /// since the work was last reset.
+    pub(crate) fn done(&self, cap: usize) -> bool {
+        self.term == Some(Termination::Converged) || self.work.rotation >= cap
+    }
+}
+
 /// A session's phase bookkeeping: each phase's resumable work, how
 /// its last activation stopped, and what it has produced so far. A new
 /// session starts from the default, a checkpoint restore parses one,
@@ -383,35 +406,11 @@ pub(crate) struct Progress {
     pub(crate) initial_work: InitialWork,
     pub(crate) initial_term: Option<Termination>,
     pub(crate) failed: Vec<NetId>,
-    pub(crate) congestion_work: CongestionWork,
-    pub(crate) congestion_term: Option<Termination>,
-    /// `true` when the congestion phase has no work left: it converged,
-    /// or its configured iteration cap (not a budget) stopped it.
-    pub(crate) congestion_done: bool,
-    pub(crate) congestion_clean: bool,
-    pub(crate) congestion_stats: RnrStats,
-    pub(crate) tpl_work: TplWork,
-    pub(crate) tpl_term: Option<Termination>,
-    /// As `congestion_done`, for the TPL phase.
-    pub(crate) tpl_done: bool,
-    pub(crate) tpl_clean: bool,
-    pub(crate) tpl_stats: RnrStats,
+    pub(crate) congestion: RnrProgress,
+    pub(crate) tpl: RnrProgress,
     pub(crate) coloring_attempts_done: usize,
     pub(crate) coloring_term: Option<Termination>,
     pub(crate) colorable: Option<bool>,
-}
-
-impl Progress {
-    /// The one pending rule: a stage is done when it converged or its
-    /// configured iteration cap ended it. A budget stop only pauses it.
-    fn done(&self, stage: Stage) -> bool {
-        match stage {
-            Stage::Initial => self.initial_term == Some(Termination::Converged),
-            Stage::Congestion => self.congestion_done,
-            Stage::Tpl => self.tpl_done,
-            Stage::Coloring => self.coloring_term == Some(Termination::Converged),
-        }
-    }
 }
 
 /// The staged routing flow: one phase per method, in paper order,
@@ -432,10 +431,10 @@ impl Progress {
 /// continues exactly where it stopped — an interrupted-and-resumed
 /// session walks the same iteration sequence as an uninterrupted one
 /// (except under [`RouteBudget::with_max_expansions`], which can cut
-/// a search mid-net). A phase that is done — it converged, or its
-/// configured iteration cap ([`RouterConfig::max_congestion_iters`],
-/// [`RouterConfig::max_tpl_iters`]) ended it — is never re-run: its
-/// method returns the cached result.
+/// a search mid-net). A phase that is done — it converged, or it spent
+/// its configured iteration cap ([`RouterConfig::max_congestion_iters`],
+/// [`RouterConfig::max_tpl_iters`]) over all its activations — is never
+/// re-run: its method returns the cached result.
 ///
 /// ```
 /// use sadp_grid::{Net, Netlist, Pin, RoutingGrid, SadpKind};
@@ -555,12 +554,12 @@ impl<'a> RoutingSession<'a> {
     /// Congestion-phase counters accumulated over every activation so
     /// far.
     pub fn congestion_stats(&self) -> RnrStats {
-        self.progress.congestion_stats
+        self.progress.congestion.stats
     }
 
     /// TPL-phase counters accumulated over every activation so far.
     pub fn tpl_stats(&self) -> RnrStats {
-        self.progress.tpl_stats
+        self.progress.tpl.stats
     }
 
     /// Installs (and immediately activates) a resource budget for all
@@ -579,8 +578,8 @@ impl<'a> RoutingSession<'a> {
         let p = &self.progress;
         [
             p.initial_term,
-            p.congestion_term,
-            p.tpl_term,
+            p.congestion.term,
+            p.tpl.term,
             p.coloring_term,
         ]
         .into_iter()
@@ -590,18 +589,35 @@ impl<'a> RoutingSession<'a> {
     }
 
     /// `true` when the coloring check is done, so nothing is left for
-    /// a resumed budget to continue. A phase that its configured
-    /// iteration cap ended counts as done; [`RoutingSession::termination`]
+    /// a resumed budget to continue. A phase that spent its configured
+    /// iteration cap counts as done; [`RoutingSession::termination`]
     /// still reports that cap.
     pub fn converged(&self) -> bool {
-        self.progress.done(Stage::Coloring)
+        self.done(Stage::Coloring)
     }
 
-    fn auto_cap(&self, explicit: usize) -> usize {
+    /// An R&R phase's configured iteration cap, with 0 (auto) resolved
+    /// from the netlist size.
+    pub(crate) fn auto_cap(&self, explicit: usize) -> usize {
         if explicit == 0 {
             60 * self.netlist.len() + 2000
         } else {
             explicit
+        }
+    }
+
+    /// The one pending rule: a stage is done when it converged or, for
+    /// an R&R stage, when it spent its configured iteration cap. A
+    /// budget stop only pauses it.
+    fn done(&self, stage: Stage) -> bool {
+        let p = &self.progress;
+        match stage {
+            Stage::Initial => p.initial_term == Some(Termination::Converged),
+            Stage::Congestion => p
+                .congestion
+                .done(self.auto_cap(self.config.max_congestion_iters)),
+            Stage::Tpl => p.tpl.done(self.auto_cap(self.config.max_tpl_iters)),
+            Stage::Coloring => p.coloring_term == Some(Termination::Converged),
         }
     }
 
@@ -610,19 +626,19 @@ impl<'a> RoutingSession<'a> {
     /// it is advanced first, and this one runs only once that one is
     /// done.
     fn advance(&mut self, stage: Stage, obs: &mut impl RouteObserver) {
-        if self.progress.done(stage) {
+        if self.done(stage) {
             return;
         }
         if let Some(previous) = stage.previous() {
             self.advance(previous, obs);
-            if !self.progress.done(previous) {
+            if !self.done(previous) {
                 return;
             }
         }
         match stage {
             Stage::Initial => self.run_initial(obs),
-            Stage::Congestion => self.run_negotiate(obs),
-            Stage::Tpl => self.run_tpl(obs),
+            Stage::Congestion => self.run_rnr::<false>(obs),
+            Stage::Tpl => self.run_rnr::<true>(obs),
             Stage::Coloring => self.run_coloring(obs),
         }
     }
@@ -645,57 +661,45 @@ impl<'a> RoutingSession<'a> {
         p.initial_term = Some(t);
     }
 
-    fn run_negotiate(&mut self, obs: &mut impl RouteObserver) {
-        let config_cap = self.auto_cap(self.config.max_congestion_iters);
-        let limits = self.budget.limits(config_cap);
-        obs.phase_start(Phase::CongestionNegotiation);
-        faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
-        let p = &mut self.progress;
-        let (clean, stats) = negotiate_congestion(
-            &mut self.state,
-            self.netlist,
-            &self.pins,
-            limits,
-            &mut p.congestion_work,
-            &mut self.scratch,
-            obs,
-        );
-        obs.phase_end(Phase::CongestionNegotiation);
-        p.congestion_clean = clean;
-        p.congestion_stats.merge(stats);
-        p.congestion_term = Some(stats.termination);
-        p.congestion_done = stats.termination.is_converged()
-            || (stats.termination == Termination::IterationCap && limits.max_iters >= config_cap);
-    }
-
-    fn run_tpl(&mut self, obs: &mut impl RouteObserver) {
-        if !self.config.consider_tpl {
+    /// One activation of an R&R stage: congestion negotiation, or with
+    /// `FVPS` TPL removal, which a configuration without TPL records as
+    /// done at once. The activation runs at most the iterations left
+    /// of the stage's configured cap, so the cap bounds the whole
+    /// phase and a budget slice only pauses it.
+    fn run_rnr<const FVPS: bool>(&mut self, obs: &mut impl RouteObserver) {
+        if FVPS && !self.config.consider_tpl {
             let p = &mut self.progress;
-            p.tpl_clean = p.congestion_clean;
-            p.tpl_term = Some(Termination::Converged);
-            p.tpl_done = true;
+            p.tpl.clean = p.congestion.clean;
+            p.tpl.term = Some(Termination::Converged);
             return;
         }
-        let config_cap = self.auto_cap(self.config.max_tpl_iters);
-        let limits = self.budget.limits(config_cap);
-        obs.phase_start(Phase::TplViolationRemoval);
+        let cap = self.auto_cap(if FVPS {
+            self.config.max_tpl_iters
+        } else {
+            self.config.max_congestion_iters
+        });
+        let (phase, rnr) = if FVPS {
+            (Phase::TplViolationRemoval, &mut self.progress.tpl)
+        } else {
+            (Phase::CongestionNegotiation, &mut self.progress.congestion)
+        };
+        // Not done, so `rotation < cap`.
+        let limits = self.budget.limits(cap - rnr.work.rotation);
+        obs.phase_start(phase);
         faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
-        let p = &mut self.progress;
-        let (clean, stats) = tpl_violation_removal(
+        let (clean, stats) = rip_up_and_reroute::<FVPS>(
             &mut self.state,
             self.netlist,
             &self.pins,
             limits,
-            &mut p.tpl_work,
+            &mut rnr.work,
             &mut self.scratch,
             obs,
         );
-        obs.phase_end(Phase::TplViolationRemoval);
-        p.tpl_clean = clean;
-        p.tpl_stats.merge(stats);
-        p.tpl_term = Some(stats.termination);
-        p.tpl_done = stats.termination.is_converged()
-            || (stats.termination == Termination::IterationCap && limits.max_iters >= config_cap);
+        obs.phase_end(phase);
+        rnr.clean = clean;
+        rnr.stats.merge(stats);
+        rnr.term = Some(stats.termination);
     }
 
     fn run_coloring(&mut self, obs: &mut impl RouteObserver) {
@@ -754,8 +758,8 @@ impl<'a> RoutingSession<'a> {
     /// [`RouterConfig::max_congestion_iters`]) is not re-run.
     pub fn negotiate(&mut self, obs: &mut impl RouteObserver) -> (bool, RnrStats) {
         self.advance(Stage::Congestion, obs);
-        let p = &self.progress;
-        (p.congestion_clean, p.congestion_stats)
+        let c = &self.progress.congestion;
+        (c.clean, c.stats)
     }
 
     /// Phase 3 — via-layer TPL violation removal R&R (Algorithm 2).
@@ -764,8 +768,8 @@ impl<'a> RoutingSession<'a> {
     /// `(clean, stats)` where clean means congestion- and FVP-free.
     pub fn tpl_removal(&mut self, obs: &mut impl RouteObserver) -> (bool, RnrStats) {
         self.advance(Stage::Tpl, obs);
-        let p = &self.progress;
-        (p.tpl_clean, p.tpl_stats)
+        let t = &self.progress.tpl;
+        (t.clean, t.stats)
     }
 
     /// Phase 4 — the final 3-colorability check. With TPL considered
@@ -812,7 +816,7 @@ impl<'a> RoutingSession<'a> {
     }
 
     fn into_outcome(self, obs: &mut impl RouteObserver) -> RoutingOutcome {
-        let routed_all = self.progress.done(Stage::Initial) && self.progress.failed.is_empty();
+        let routed_all = self.done(Stage::Initial) && self.progress.failed.is_empty();
         let termination = self.termination();
 
         // `congestion_free` and `fvp_free` are recomputed here rather
@@ -846,8 +850,8 @@ impl<'a> RoutingSession<'a> {
             colorable,
             termination,
             runtime: self.start.elapsed(),
-            congestion_stats: self.progress.congestion_stats,
-            tpl_stats: self.progress.tpl_stats,
+            congestion_stats: self.progress.congestion.stats,
+            tpl_stats: self.progress.tpl.stats,
         }
     }
 
@@ -980,10 +984,10 @@ impl<'a> RoutingSession<'a> {
         // any initial-routing work a budget left unattempted become
         // the new initial-routing work, in the same (HPWL, id) order a
         // cold session would use. Every later phase restarts from the
-        // patched state; only the untouched failed nets and the
-        // accumulated stats carry over. Blocked-via enforcement, once
-        // on, stays on: the FVP indexes answer every via location from
-        // the patched state.
+        // patched state, its iteration count included; only the
+        // untouched failed nets and the accumulated stats carry over.
+        // Blocked-via enforcement, once on, stays on: the FVP indexes
+        // answer every via location from the patched state.
         let old = std::mem::take(&mut self.progress);
         let mut pending: std::collections::BTreeSet<NetId> = plan.victims.iter().copied().collect();
         if old.initial_work.seeded {
@@ -1012,8 +1016,14 @@ impl<'a> RoutingSession<'a> {
                 .into_iter()
                 .filter(|id| !plan.removed.contains(id) && !plan.victims.contains(id))
                 .collect(),
-            congestion_stats: old.congestion_stats,
-            tpl_stats: old.tpl_stats,
+            congestion: RnrProgress {
+                stats: old.congestion.stats,
+                ..RnrProgress::default()
+            },
+            tpl: RnrProgress {
+                stats: old.tpl.stats,
+                ..RnrProgress::default()
+            },
             ..Progress::default()
         };
         self.netlist = edited;

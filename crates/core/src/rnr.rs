@@ -2,20 +2,27 @@
 //! the via-layer TPL violation removal of Algorithm 2, plus the final
 //! 3-colorability check with R&R fallback.
 //!
-//! Each phase (`initial_routing`, `negotiate_congestion`,
-//! `tpl_violation_removal`, `ensure_colorable`) is one crate-internal
-//! function that `RoutingSession` drives. It takes [`PhaseLimits`] and
-//! a persistent work struct ([`InitialWork`] / [`CongestionWork`] /
-//! [`TplWork`], or the coloring attempt count), checks the budget
-//! **between** iterations (before popping the next violation, so
-//! nothing is lost), and leaves the work struct in a state a later
-//! activation resumes from — this is what makes `RoutingSession`
-//! interruptible: a run stopped between iterations and resumed with a
-//! fresh budget walks the exact same iteration sequence as an
-//! uninterrupted run.
+//! Both R&R phases are one loop, `rip_up_and_reroute`, over one
+//! violation heap (`RnrWork`). Algorithm 2's heap resolves every
+//! congested point before any FVP, so the loop without FVP windows is
+//! negotiated congestion; TPL removal is the same loop with FVP windows
+//! and blocked-via enforcement.
+//!
+//! Each phase (`initial_routing`, `rip_up_and_reroute`,
+//! `ensure_colorable`) is one crate-internal function that
+//! `RoutingSession` drives. It takes [`PhaseLimits`] and a persistent
+//! work struct ([`InitialWork`] / `RnrWork`, or the coloring attempt
+//! count), checks the budget **between** iterations (before popping
+//! the next violation, so nothing is lost), and leaves the work struct
+//! in a state a later activation resumes from — this is what makes
+//! `RoutingSession` interruptible: a run stopped between iterations
+//! and resumed with a fresh budget walks the exact same iteration
+//! sequence as an uninterrupted run. The `rotation` of an `RnrWork`
+//! counts its phase's iterations across activations, so the session
+//! checks a configured iteration cap against the whole phase.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet};
 
 use sadp_grid::{GridPoint, NetId, Netlist, RoutingGrid, Via};
 use sadp_trace::{Counter, Phase, RouteObserver};
@@ -281,7 +288,7 @@ fn reroute(
 /// owners that are not merely pinned there (pins cannot move).
 ///
 /// `buf` is a caller-owned scratch buffer (threaded through the work
-/// structs so the hot loop performs no per-call allocation); its
+/// struct so the hot loop performs no per-call allocation); its
 /// contents on return are the rip candidates.
 fn rip_candidate_at(
     state: &RouterState,
@@ -309,83 +316,8 @@ fn rip_candidate_at(
     }
 }
 
-/// Resumable progress of the congestion-negotiation phase: the
-/// violation queue and the victim-rotation counter survive a budget
-/// stop, so the next activation continues mid-queue.
-#[derive(Debug, Clone, Default)]
-pub struct CongestionWork {
-    pub(crate) queue: VecDeque<GridPoint>,
-    pub(crate) rotation: usize,
-    /// Reused rip-candidate buffer (no per-iteration allocation).
-    pub(crate) victims: Vec<NetId>,
-}
-
-/// Negotiated-congestion R&R: resolves shared routing resources until
-/// the solution is overlap-free or the budget stops it. Returns
-/// `(congestion_free, stats)`. The queue is (re)seeded from the
-/// congested points only when `work` holds no pending violations — a
-/// non-empty queue means a previous activation was interrupted and is
-/// continued verbatim.
-pub(crate) fn negotiate_congestion(
-    state: &mut RouterState,
-    netlist: &Netlist,
-    pins: &PinIndex,
-    limits: PhaseLimits,
-    work: &mut CongestionWork,
-    scratch: &mut SearchScratch,
-    obs: &mut impl RouteObserver,
-) -> (bool, RnrStats) {
-    const PHASE: Phase = Phase::CongestionNegotiation;
-    let mut stats = RnrStats::default();
-    if work.queue.is_empty() {
-        work.queue = state.congested_points().into();
-    }
-    loop {
-        // Budget check *before* the pop: an interrupted activation
-        // leaves the violation in the queue for the resume.
-        if let Some(t) = limits.stop_reason(stats.iterations, scratch.expanded) {
-            stats.termination = t;
-            obs.counter(PHASE, Counter::BudgetStops, 1);
-            break;
-        }
-        let Some(p) = work.queue.pop_front() else {
-            break;
-        };
-        let Some(victim) = rip_candidate_at(state, pins, p, work.rotation, &mut work.victims)
-        else {
-            continue; // stale: resolved meanwhile
-        };
-        work.rotation += 1;
-        stats.iterations += 1;
-        obs.counter(PHASE, Counter::Iterations, 1);
-        obs.counter(PHASE, Counter::CongestionHits, 1);
-        state.bump_history(p);
-        obs.counter(PHASE, Counter::CostDelta, state.params.history_step());
-        if reroute(state, netlist, victim, scratch) {
-            stats.reroutes += 1;
-            obs.counter(PHASE, Counter::Reroutes, 1);
-        } else {
-            stats.failures += 1;
-            obs.counter(PHASE, Counter::RerouteFailures, 1);
-        }
-        // Re-examine: overlaps of the victim's (new or reinstalled)
-        // route, and this point if still congested.
-        if let Some(route) = state.solution.route(victim) {
-            for &q in route.covered_points_sorted() {
-                if state.owners_of(q).len() > 1 {
-                    work.queue.push_back(q);
-                }
-            }
-        }
-        if state.owners_of(p).len() > 1 {
-            work.queue.push_back(p);
-        }
-    }
-    (state.congested_points().is_empty(), stats)
-}
-
-/// A violation processed by the Algorithm 2 priority queue.
-/// Congestion outranks FVPs (it is always resolved first).
+/// A violation processed by the R&R loop. Congestion outranks FVPs
+/// (it is always resolved first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Violation {
     /// A metal point with more than one owner. (Rank 0: highest.)
@@ -403,60 +335,86 @@ impl Violation {
     }
 }
 
-/// Resumable progress of the TPL violation-removal phase: the
-/// priority heap, its tie-break sequence counter, and the rotation
-/// survive a budget stop.
+/// Resumable progress of one R&R phase: the violation heap, its
+/// tie-break sequence counter, and the victim rotation survive a
+/// budget stop, so the next activation continues mid-heap. Entries pop
+/// by rank, then in push order, so a heap of congested points alone
+/// is a FIFO queue.
 #[derive(Debug, Clone, Default)]
-pub struct TplWork {
+pub(crate) struct RnrWork {
     pub(crate) heap: BinaryHeap<Reverse<(u8, u64, Violation)>>,
     pub(crate) seq: u64,
+    /// Picks among a violation's rip candidates; bumped once per
+    /// iteration, so it also counts the phase's iterations since the
+    /// work was created.
     pub(crate) rotation: usize,
     /// Reused rip-candidate buffer (no per-iteration allocation).
     pub(crate) victims: Vec<NetId>,
 }
 
-/// Via-layer TPL violation removal based R&R (Algorithm 2): blocks
-/// via locations that would create FVPs, then rips and reroutes nets
-/// until all FVPs (and any congestion) are gone. Returns `(clean,
-/// stats)` where clean means congestion-free and FVP-free. Blocking
-/// is a flag: the FVP indexes answer each via location in O(1), so
-/// switching it on costs nothing and it stays on for the rest of the
-/// session. The heap is (re)seeded from the current violations only
-/// when empty.
-pub(crate) fn tpl_violation_removal(
+impl RnrWork {
+    /// Queues `v` behind every pending violation of its rank.
+    pub(crate) fn push(&mut self, v: Violation) {
+        self.seq += 1;
+        self.heap.push(Reverse((v.rank(), self.seq, v)));
+    }
+
+    /// The pending violations with their keys, in pop order.
+    pub(crate) fn pending(&self) -> Vec<(u8, u64, Violation)> {
+        let mut entries: Vec<(u8, u64, Violation)> =
+            self.heap.iter().map(|Reverse(e)| *e).collect();
+        entries.sort_unstable();
+        entries
+    }
+}
+
+/// The R&R loop of both phases. With `FVPS` off it is negotiated
+/// congestion: it rips and reroutes nets until no routing resource is
+/// shared. With `FVPS` on it is the TPL violation removal of
+/// Algorithm 2: it also queues every FVP window behind the congestion,
+/// refuses via locations that would create an FVP, and raises history
+/// on the vias of each FVP it rips. Refusal is a flag: the FVP indexes
+/// answer each via location in O(1), so switching it on costs nothing
+/// and it stays on for the rest of the session. Returns `(clean,
+/// stats)`, where clean means congestion-free and, with `FVPS`,
+/// FVP-free. The heap is (re)seeded from the current violations only
+/// when empty — a non-empty heap means a previous activation was
+/// interrupted and is continued verbatim.
+pub(crate) fn rip_up_and_reroute<const FVPS: bool>(
     state: &mut RouterState,
     netlist: &Netlist,
     pins: &PinIndex,
     limits: PhaseLimits,
-    work: &mut TplWork,
+    work: &mut RnrWork,
     scratch: &mut SearchScratch,
     obs: &mut impl RouteObserver,
 ) -> (bool, RnrStats) {
-    const PHASE: Phase = Phase::TplViolationRemoval;
-    state.enforce_blocked = true;
-
+    let phase = if FVPS {
+        state.enforce_blocked = true;
+        Phase::TplViolationRemoval
+    } else {
+        Phase::CongestionNegotiation
+    };
     let mut stats = RnrStats::default();
-    let push =
-        |heap: &mut BinaryHeap<Reverse<(u8, u64, Violation)>>, seq: &mut u64, v: Violation| {
-            *seq += 1;
-            heap.push(Reverse((v.rank(), *seq, v)));
-        };
     if work.heap.is_empty() {
         for p in state.congested_points() {
-            push(&mut work.heap, &mut work.seq, Violation::Congestion(p));
+            work.push(Violation::Congestion(p));
         }
-        for vl in 0..state.grid.via_layer_count() {
-            for w in state.fvp[vl as usize].fvp_windows() {
-                push(&mut work.heap, &mut work.seq, Violation::Fvp(vl, w));
+        if FVPS {
+            for vl in 0..state.grid.via_layer_count() {
+                for w in state.fvp[vl as usize].fvp_windows() {
+                    work.push(Violation::Fvp(vl, w));
+                }
             }
         }
     }
 
     loop {
-        // Budget check *before* the pop (see the congestion phase).
+        // Budget check *before* the pop: an interrupted activation
+        // leaves the violation in the heap for the resume.
         if let Some(t) = limits.stop_reason(stats.iterations, scratch.expanded) {
             stats.termination = t;
-            obs.counter(PHASE, Counter::BudgetStops, 1);
+            obs.counter(phase, Counter::BudgetStops, 1);
             break;
         }
         let Some(Reverse((_, _, viol))) = work.heap.pop() else {
@@ -467,11 +425,11 @@ pub(crate) fn tpl_violation_removal(
             Violation::Congestion(p) => {
                 let Some(v) = rip_candidate_at(state, pins, p, work.rotation, &mut work.victims)
                 else {
-                    continue;
+                    continue; // stale: resolved meanwhile
                 };
-                obs.counter(PHASE, Counter::CongestionHits, 1);
+                obs.counter(phase, Counter::CongestionHits, 1);
                 state.bump_history(p);
-                obs.counter(PHASE, Counter::CostDelta, state.params.history_step());
+                obs.counter(phase, Counter::CostDelta, state.params.history_step());
                 v
             }
             Violation::Fvp(vl, (ox, oy)) => {
@@ -479,7 +437,7 @@ pub(crate) fn tpl_violation_removal(
                     continue; // resolved meanwhile
                 }
                 // Nets owning movable vias in the window.
-                let mut owners: Vec<NetId> = Vec::new();
+                work.victims.clear();
                 for dx in 0..3 {
                     for dy in 0..3 {
                         let (x, y) = (ox + dx, oy + dy);
@@ -487,16 +445,16 @@ pub(crate) fn tpl_violation_removal(
                             continue;
                         }
                         for n in state.view.via_owners(vl, x, y) {
-                            if !owners.contains(&n) {
-                                owners.push(n);
+                            if !work.victims.contains(&n) {
+                                work.victims.push(n);
                             }
                         }
                     }
                 }
-                if owners.is_empty() {
+                if work.victims.is_empty() {
                     continue; // pin-driven FVP: nothing to rip
                 }
-                obs.counter(PHASE, Counter::FvpHits, 1);
+                obs.counter(phase, Counter::FvpHits, 1);
                 // Raise history on the vias of the FVP so they grow
                 // expensive (Algorithm 2 line 15).
                 let mut bumped = 0i64;
@@ -511,67 +469,64 @@ pub(crate) fn tpl_violation_removal(
                     }
                 }
                 obs.counter(
-                    PHASE,
+                    phase,
                     Counter::CostDelta,
                     bumped * state.params.history_step(),
                 );
-                owners[work.rotation % owners.len()]
+                work.victims[work.rotation % work.victims.len()]
             }
         };
         work.rotation += 1;
         stats.iterations += 1;
-        obs.counter(PHASE, Counter::Iterations, 1);
+        obs.counter(phase, Counter::Iterations, 1);
         if reroute(state, netlist, victim, scratch) {
             stats.reroutes += 1;
-            obs.counter(PHASE, Counter::Reroutes, 1);
+            obs.counter(phase, Counter::Reroutes, 1);
         } else {
             stats.failures += 1;
-            obs.counter(PHASE, Counter::RerouteFailures, 1);
+            obs.counter(phase, Counter::RerouteFailures, 1);
         }
-        // Requeue fresh violations around the rerouted net.
-        if let Some(route) = state.solution.route(victim).cloned() {
+        // Requeue fresh violations around the victim's (new or
+        // reinstalled) route: its overlaps and, with FVPs, the FVP
+        // windows around its vias.
+        if let Some(route) = state.solution.route(victim) {
             for &q in route.covered_points_sorted() {
                 if state.owners_of(q).len() > 1 {
-                    push(&mut work.heap, &mut work.seq, Violation::Congestion(q));
+                    work.push(Violation::Congestion(q));
                 }
             }
-            // Only windows whose origin is within Chebyshev distance 2
-            // of the via can contain it: probe those 25 origins
-            // directly instead of scanning every FVP window.
-            let (gw, gh) = (state.grid.width(), state.grid.height());
-            for &v in route.vias() {
-                let vl = v.below as usize;
-                for wx in (v.x - 2).max(0)..=(v.x + 2).min(gw - 3) {
-                    for wy in (v.y - 2).max(0)..=(v.y + 2).min(gh - 3) {
-                        if state.fvp[vl].is_fvp_window(wx, wy) {
-                            push(
-                                &mut work.heap,
-                                &mut work.seq,
-                                Violation::Fvp(v.below, (wx, wy)),
-                            );
+            if FVPS {
+                // Only windows whose origin is within Chebyshev
+                // distance 2 of the via can contain it: probe those 25
+                // origins directly instead of scanning every FVP
+                // window.
+                let (gw, gh) = (state.grid.width(), state.grid.height());
+                for &v in route.vias() {
+                    let vl = v.below as usize;
+                    for wx in (v.x - 2).max(0)..=(v.x + 2).min(gw - 3) {
+                        for wy in (v.y - 2).max(0)..=(v.y + 2).min(gh - 3) {
+                            if state.fvp[vl].is_fvp_window(wx, wy) {
+                                work.push(Violation::Fvp(v.below, (wx, wy)));
+                            }
                         }
                     }
                 }
             }
         }
         // The processed violation may persist: requeue if so.
-        match viol {
-            Violation::Congestion(p) => {
-                if state.owners_of(p).len() > 1 {
-                    push(&mut work.heap, &mut work.seq, Violation::Congestion(p));
-                }
-            }
-            Violation::Fvp(vl, w) => {
-                if state.fvp[vl as usize].is_fvp_window(w.0, w.1) {
-                    push(&mut work.heap, &mut work.seq, Violation::Fvp(vl, w));
-                }
-            }
+        let persists = match viol {
+            Violation::Congestion(p) => state.owners_of(p).len() > 1,
+            Violation::Fvp(vl, (ox, oy)) => state.fvp[vl as usize].is_fvp_window(ox, oy),
+        };
+        if persists {
+            work.push(viol);
         }
     }
 
     let clean = state.congested_points().is_empty()
-        && (0..state.grid.via_layer_count())
-            .all(|vl| state.fvp[vl as usize].fvp_window_count() == 0);
+        && (!FVPS
+            || (0..state.grid.via_layer_count())
+                .all(|vl| state.fvp[vl as usize].fvp_window_count() == 0));
     (clean, stats)
 }
 
@@ -724,12 +679,12 @@ mod tests {
         iters: usize,
         scratch: &mut SearchScratch,
     ) -> (bool, RnrStats) {
-        negotiate_congestion(
+        rip_up_and_reroute::<false>(
             st,
             nl,
             pins,
             PhaseLimits::iters_only(iters),
-            &mut CongestionWork::default(),
+            &mut RnrWork::default(),
             scratch,
             &mut NoopObserver,
         )
@@ -743,12 +698,12 @@ mod tests {
         iters: usize,
         scratch: &mut SearchScratch,
     ) -> (bool, RnrStats) {
-        tpl_violation_removal(
+        rip_up_and_reroute::<true>(
             st,
             nl,
             pins,
             PhaseLimits::iters_only(iters),
-            &mut TplWork::default(),
+            &mut RnrWork::default(),
             scratch,
             &mut NoopObserver,
         )
@@ -872,12 +827,13 @@ mod tests {
         assert!(st.solution.connectivity_errors(&nl).is_empty());
     }
 
-    #[test]
-    fn tpl_phase_removes_fvps() {
-        // Twelve diagonal nets crossing around the center of a SID
-        // grid, routed and negotiated without TPL costs, so their vias
-        // pile up into FVP windows; the TPL phase (costs on, blocked
-        // via sites refused) must reroute nets to remove them.
+    /// Routes and negotiates twelve diagonal nets crossing around the
+    /// center of a SID grid without TPL costs, so their vias pile up
+    /// into FVP windows, then runs the TPL phase (costs on, blocked via
+    /// sites refused) on one work struct in activations of at most
+    /// `slice` iterations. Returns the final state, the netlist, the
+    /// phase's accumulated stats, and whether it ended clean.
+    fn tpl_phase_in_slices(slice: usize) -> (RouterState, Netlist, RnrStats, bool) {
         let mut nl = Netlist::new();
         for k in 0..12 {
             nl.push(Net::new(
@@ -895,13 +851,62 @@ mod tests {
         st.consider_tpl = true;
         let windows: usize = st.fvp.iter().map(|f| f.fvp_windows().len()).sum();
         assert!(windows > 0, "the TPL phase starts with no FVP window");
-        let (clean, stats) = remove_fvps(&mut st, &nl, &pins, 10_000, &mut scratch);
+        let mut work = RnrWork::default();
+        let mut acc = RnrStats::default();
+        let clean = loop {
+            let (clean, stats) = rip_up_and_reroute::<true>(
+                &mut st,
+                &nl,
+                &pins,
+                PhaseLimits::iters_only(slice),
+                &mut work,
+                &mut scratch,
+                &mut NoopObserver,
+            );
+            acc.merge(stats);
+            if stats.termination == Termination::Converged {
+                break clean;
+            }
+        };
+        (st, nl, acc, clean)
+    }
+
+    #[test]
+    fn tpl_phase_removes_fvps() {
+        let (st, nl, stats, clean) = tpl_phase_in_slices(10_000);
         assert!(clean, "FVPs or congestion remain");
-        assert!(stats.reroutes > 0, "no net was rerouted: {stats:?}");
+        assert_eq!(
+            stats,
+            RnrStats {
+                iterations: 2,
+                reroutes: 2,
+                failures: 0,
+                termination: Termination::Converged,
+            }
+        );
+        let totals = st.solution.stats();
+        assert_eq!((totals.wirelength, totals.vias), (336, 54));
         for vl in 0..st.grid.via_layer_count() {
             assert!(st.fvp[vl as usize].fvp_windows().is_empty());
         }
         assert!(st.solution.connectivity_errors(&nl).is_empty());
+    }
+
+    /// The TPL phase resumed after every iteration walks the same
+    /// sequence as one uninterrupted activation.
+    #[test]
+    fn tpl_phase_resumed_every_iteration_matches_uninterrupted() {
+        let (whole, nl, whole_stats, whole_clean) = tpl_phase_in_slices(10_000);
+        let (sliced, _, sliced_stats, sliced_clean) = tpl_phase_in_slices(1);
+        assert_eq!(sliced_clean, whole_clean);
+        assert_eq!(sliced_stats, whole_stats);
+        for (id, _) in nl.iter() {
+            assert_eq!(
+                sliced.solution.route(id),
+                whole.solution.route(id),
+                "{id:?}"
+            );
+        }
     }
 
     #[test]
@@ -968,10 +973,10 @@ mod tests {
                 st.install_route(NetId(k), RoutedNet::new(donor, Vec::new()));
             }
             assert!(!st.congested_points().is_empty());
-            let mut work = CongestionWork::default();
+            let mut work = RnrWork::default();
             let mut acc = RnrStats::default();
             loop {
-                let (_, stats) = negotiate_congestion(
+                let (_, stats) = rip_up_and_reroute::<false>(
                     &mut st,
                     &nl,
                     &pins,

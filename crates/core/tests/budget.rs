@@ -119,53 +119,70 @@ fn expansion_capped_session_resumes_to_completion() {
     assert!(out.routed_all);
 }
 
-/// A configured iteration cap ends a phase; a budget only pauses it.
-/// A capped run driven through the four phase calls in budget slices
-/// ends where `try_finish` ends, cap stop included, and never re-runs
-/// the capped phase once the later phases are done.
+/// A configured iteration cap ends a phase and counts the phase's
+/// iterations over all its activations; a budget only pauses it. A
+/// capped run driven through the four phase calls in budget slices,
+/// larger or smaller than the cap, ends where `try_finish` ends, cap
+/// stop included, and never re-runs the capped phase once the later
+/// phases are done.
 #[test]
 fn capped_phase_is_done_under_budget_slices() {
     let spec = BenchSpec::by_name("ecc")
         .expect("paper circuit")
         .scaled(0.25);
     let (grid, netlist) = (spec.grid(), spec.generate(1));
-    let config = RouterConfig::builder(SadpKind::Sim)
-        .dvi(true)
-        .tpl(true)
-        .max_congestion_iters(1)
-        .build()
-        .expect("valid config");
+    // (cap, slice, wirelength, vias) of the capped run.
+    for (cap, slice, wirelength, vias) in
+        [(1, 16, 7983, 1889), (3, 2, 7981, 1887), (4, 3, 7980, 1885)]
+    {
+        let config = RouterConfig::builder(SadpKind::Sim)
+            .dvi(true)
+            .tpl(true)
+            .max_congestion_iters(cap)
+            .build()
+            .expect("valid config");
 
-    let mut session = RoutingSession::new(&grid, &netlist, config);
-    let negotiated = session.negotiate(&mut NoopObserver);
-    let unsliced = session.try_finish(&mut NoopObserver).expect("routing flow");
-    assert_eq!(
-        unsliced.termination,
-        Termination::IterationCap,
-        "negotiation must need more than the one capped iteration"
-    );
+        let mut session = RoutingSession::new(&grid, &netlist, config);
+        let negotiated = session.negotiate(&mut NoopObserver);
+        let unsliced = session.try_finish(&mut NoopObserver).expect("routing flow");
+        assert_eq!(
+            unsliced.termination,
+            Termination::IterationCap,
+            "cap {cap}: negotiation must need more than the capped iterations"
+        );
+        assert_eq!(unsliced.congestion_stats.iterations, cap);
+        assert_eq!(
+            (unsliced.stats.wirelength, unsliced.stats.vias),
+            (wirelength, vias)
+        );
 
-    let mut session = RoutingSession::new(&grid, &netlist, config);
-    let mut log = EventLog::new();
-    let mut slices = 0usize;
-    while !session.converged() {
-        session.set_budget(RouteBudget::unlimited().with_max_phase_iters(16));
-        step(&mut session, &mut log);
-        slices += 1;
-        assert!(slices < 100_000, "sliced session makes no progress");
+        let mut session = RoutingSession::new(&grid, &netlist, config);
+        let mut log = EventLog::new();
+        let mut slices = 0usize;
+        while !session.converged() {
+            session.set_budget(RouteBudget::unlimited().with_max_phase_iters(slice));
+            step(&mut session, &mut log);
+            slices += 1;
+            assert!(slices < 100_000, "sliced session makes no progress");
+        }
+        let activations = log
+            .phase_sequence()
+            .into_iter()
+            .filter(|&p| p == Phase::CongestionNegotiation)
+            .count();
+        assert_eq!(
+            activations,
+            cap.div_ceil(slice),
+            "cap {cap}, slice {slice}: the capped phase ran again"
+        );
+
+        let mut quiet = EventLog::new();
+        assert_eq!(session.negotiate(&mut quiet), negotiated);
+        assert!(quiet.events().is_empty(), "a done phase opened a span");
+
+        let sliced = session.try_finish(&mut NoopObserver).expect("routing flow");
+        assert_eq!(sliced.termination, unsliced.termination);
+        assert_eq!(sliced.congestion_stats, unsliced.congestion_stats);
+        assert_eq!(fingerprint(&sliced), fingerprint(&unsliced));
     }
-    let activations = log
-        .phase_sequence()
-        .into_iter()
-        .filter(|&p| p == Phase::CongestionNegotiation)
-        .count();
-    assert_eq!(activations, 1, "the capped phase ran again");
-
-    let mut quiet = EventLog::new();
-    assert_eq!(session.negotiate(&mut quiet), negotiated);
-    assert!(quiet.events().is_empty(), "a done phase opened a span");
-
-    let sliced = session.try_finish(&mut NoopObserver).expect("routing flow");
-    assert_eq!(sliced.termination, unsliced.termination);
-    assert_eq!(fingerprint(&sliced), fingerprint(&unsliced));
 }

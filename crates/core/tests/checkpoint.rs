@@ -92,22 +92,34 @@ fn checkpoint_restored_run_matches_uninterrupted_fingerprint() {
 
 /// A restored session rebuilds its occupancy view in net-id order,
 /// whatever order the live run installed routes in; the rip-up
-/// victims it picks from shared cells must not depend on that. At this
-/// size some cells are shared when a slice ends.
+/// victims it picks from shared cells must not depend on that. At
+/// quarter scale some cells are shared when a slice ends. The second
+/// input is a small flow whose TPL phase iterates: at 1-iteration
+/// slices a restore lands inside that phase.
 #[test]
 fn restore_at_every_slice_matches_uninterrupted_run_at_quarter_scale() {
-    let spec = BenchSpec::by_name("ecc")
-        .expect("paper circuit")
-        .scaled(0.25);
-    let (grid, netlist) = (spec.grid(), spec.generate(1));
-    let config = RouterConfig::full(SadpKind::Sim);
-    let uninterrupted = RoutingSession::new(&grid, &netlist, config)
-        .try_finish(&mut NoopObserver)
-        .expect("routing flow");
-    let (restored, restores) = run_through_checkpoints(&grid, &netlist, config, 16);
-    assert!(restores > 1, "no checkpoint stop to restore from");
-    assert_eq!(restored.termination, Termination::Converged);
-    assert_eq!(fingerprint(&restored), fingerprint(&uninterrupted));
+    // (circuit, scale, seed, slice, least TPL iterations)
+    for (name, scale, seed, slice, tpl_iterations) in
+        [("ecc", 0.25, 1, 16, 0), ("div", 0.02, 2, 1, 1)]
+    {
+        let spec = BenchSpec::by_name(name)
+            .expect("paper circuit")
+            .scaled(scale);
+        let (grid, netlist) = (spec.grid(), spec.generate(seed));
+        let config = RouterConfig::full(SadpKind::Sim);
+        let uninterrupted = RoutingSession::new(&grid, &netlist, config)
+            .try_finish(&mut NoopObserver)
+            .expect("routing flow");
+        let (restored, restores) = run_through_checkpoints(&grid, &netlist, config, slice);
+        assert!(restores > 1, "{name}: no checkpoint stop to restore from");
+        assert!(
+            restored.tpl_stats.iterations >= tpl_iterations,
+            "{name}: the TPL phase ran {} iterations",
+            restored.tpl_stats.iterations
+        );
+        assert_eq!(restored.termination, Termination::Converged);
+        assert_eq!(fingerprint(&restored), fingerprint(&uninterrupted));
+    }
 }
 
 #[test]
@@ -299,4 +311,32 @@ fn tpl_line_disagreeing_with_enforce_blocked_is_rejected() {
     );
     // The untouched body, re-signed, still restores.
     assert!(RoutingSession::restore(&grid, &netlist, config, &signed(body)).is_ok());
+}
+
+/// The `done` fields of the `congestion` and `tpl` lines follow from
+/// the phase's termination, its rotation and the configured cap; a
+/// validly signed checkpoint whose field disagrees is refused.
+#[test]
+fn done_field_disagreeing_with_its_phase_is_rejected() {
+    let (grid, netlist, config, text) = mid_run_checkpoint();
+    let (body, _) = text.rsplit_once("checksum ").expect("framed");
+    for (line, flipped, needle) in [
+        (
+            "\ncongestion 0 0 0\n",
+            "\ncongestion 0 1 0\n",
+            "congestion done disagrees",
+        ),
+        (
+            "\ntpl 0 0 0 0 0\n",
+            "\ntpl 0 0 0 1 0\n",
+            "tpl done disagrees",
+        ),
+    ] {
+        assert!(body.contains(line), "run still in initial routing");
+        let tampered = body.replacen(line, flipped, 1);
+        expect_durability(
+            RoutingSession::restore(&grid, &netlist, config, &signed(&tampered)),
+            needle,
+        );
+    }
 }

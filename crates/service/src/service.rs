@@ -18,11 +18,12 @@
 //! *slice*) and re-check the job's cancel flag and deadline between
 //! slices. Budget slicing is output-invariant (pinned by
 //! `crates/core/tests/budget.rs`), so a sliced run fingerprints
-//! identically to an unsliced one. Slices grow geometrically: phase
-//! convergence-by-cap requires a single activation to reach the
-//! configured cap, so a fixed small slice could spin forever on a
-//! non-converging instance — doubling guarantees termination while
-//! keeping early cancellation latency low.
+//! identically to an unsliced one. Slices grow geometrically, which
+//! keeps early cancellation latency low and re-activations few. A
+//! configured phase cap ends its phase under any slice, so
+//! termination does not need the doubling; it still pays because a
+//! durable service writes a fsynced checkpoint at every slice boundary
+//! by default (`checkpoint_every` 1).
 //!
 //! ## Containment
 //!
@@ -974,7 +975,9 @@ fn ckpt(inner: &Inner, id: JobId) -> Option<(&Durable, JobId)> {
 /// boundary a checkpoint: the session snapshots to `ckpt-<id>.txt`,
 /// so a crash resumes from the last boundary instead of from scratch
 /// (output-invariant either way — slicing is pinned not to change
-/// outcomes).
+/// outcomes). Slices double from `base_slice`: not for termination —
+/// a configured phase cap ends its phase under any slice — but to keep
+/// re-activations and those fsynced checkpoint writes few.
 fn drive_session(
     session: &mut RoutingSession<'_>,
     request: &RouteRequest,
