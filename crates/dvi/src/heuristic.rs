@@ -333,7 +333,11 @@ pub fn solve_heuristic_observed(
     params: &DviParams,
     obs: &mut impl RouteObserver,
 ) -> DviOutcome {
-    observe_dvi(obs, || solve_with(problem, params, 0))
+    obs.phase_start(Phase::Dvi);
+    let outcome = solve_with(problem, params, 0);
+    outcome.emit_counters(obs);
+    obs.phase_end(Phase::Dvi);
+    outcome
 }
 
 /// Algorithm 3 followed by up to `swap_passes` rounds of 1-swap local
@@ -348,29 +352,6 @@ pub fn solve_heuristic_observed(
 /// small extra cost.
 pub fn solve_heuristic_improved(problem: &DviProblem, params: &DviParams) -> DviOutcome {
     solve_with(problem, params, 3)
-}
-
-/// [`solve_heuristic_improved`] wrapped in a
-/// [`sadp_trace::Phase::Dvi`] span.
-pub fn solve_heuristic_improved_observed(
-    problem: &DviProblem,
-    params: &DviParams,
-    obs: &mut impl RouteObserver,
-) -> DviOutcome {
-    observe_dvi(obs, || solve_with(problem, params, 3))
-}
-
-/// Runs a DVI solver body inside a [`Phase::Dvi`] span and emits the
-/// outcome counters (shared by every `*_observed` entry point).
-pub(crate) fn observe_dvi(
-    obs: &mut impl RouteObserver,
-    body: impl FnOnce() -> DviOutcome,
-) -> DviOutcome {
-    obs.phase_start(Phase::Dvi);
-    let outcome = body();
-    outcome.emit_counters(obs);
-    obs.phase_end(Phase::Dvi);
-    outcome
 }
 
 fn solve_with(problem: &DviProblem, params: &DviParams, swap_passes: usize) -> DviOutcome {

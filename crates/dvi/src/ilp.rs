@@ -221,20 +221,6 @@ pub fn solve_ilp(problem: &DviProblem, options: &IlpOptions) -> (DviOutcome, Sol
     (outcome, sol)
 }
 
-/// [`solve_ilp`] wrapped in a [`sadp_trace::Phase::Dvi`] span.
-pub fn solve_ilp_observed(
-    problem: &DviProblem,
-    options: &IlpOptions,
-    obs: &mut impl sadp_trace::RouteObserver,
-) -> (DviOutcome, Solution) {
-    use sadp_trace::Phase;
-    obs.phase_start(Phase::Dvi);
-    let (outcome, sol) = solve_ilp(problem, options);
-    outcome.emit_counters(obs);
-    obs.phase_end(Phase::Dvi);
-    (outcome, sol)
-}
-
 /// Builds a full feasible assignment from a heuristic outcome.
 fn warm_start_vector(mapping: &IlpMapping, model: &Model, heur: &DviOutcome) -> Vec<bool> {
     let mut values = vec![false; model.var_count()];

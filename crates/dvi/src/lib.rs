@@ -54,10 +54,9 @@ pub use candidates::{
     feasible_candidate, Candidate, DviProblem, LayoutView, Occupancy, OwnerIter, ProblemVia,
 };
 pub use heuristic::{
-    solve_heuristic, solve_heuristic_improved, solve_heuristic_improved_observed,
-    solve_heuristic_observed, DviParams,
+    solve_heuristic, solve_heuristic_improved, solve_heuristic_observed, DviParams,
 };
-pub use ilp::{build_ilp, solve_ilp, solve_ilp_observed, IlpMapping};
+pub use ilp::{build_ilp, solve_ilp, IlpMapping};
 pub use ilp_lazy::{solve_ilp_lazy, solve_ilp_lazy_observed, LazyIlpOptions, LazyStats};
 pub use report::DviOutcome;
 pub use resilient::{solve_resilient, DviSolver, ResilientDviOptions, ResilientDviResult};

@@ -56,10 +56,9 @@ pub use tpl_decomp as tpl;
 pub mod prelude {
     pub use benchgen::BenchSpec;
     pub use dvi::{
-        solve_heuristic, solve_heuristic_improved, solve_heuristic_improved_observed,
-        solve_heuristic_observed, solve_ilp, solve_ilp_lazy, solve_ilp_lazy_observed,
-        solve_ilp_observed, solve_resilient, DviOutcome, DviParams, DviProblem, DviSolver,
-        LazyIlpOptions, ResilientDviOptions, ResilientDviResult,
+        solve_heuristic, solve_heuristic_improved, solve_heuristic_observed, solve_ilp,
+        solve_ilp_lazy, solve_ilp_lazy_observed, solve_resilient, DviOutcome, DviParams,
+        DviProblem, DviSolver, LazyIlpOptions, ResilientDviOptions, ResilientDviResult,
     };
     pub use sadp_grid::{
         Axis, DeltaOp, LayoutDelta, Net, NetId, Netlist, Pin, RoutedNet, RoutingGrid,
