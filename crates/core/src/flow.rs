@@ -36,10 +36,10 @@ use sadp_trace::{Counter, JsonReport, Phase, RouteObserver};
 use crate::budget::{ActiveBudget, RouteBudget, Termination};
 use crate::costs::CostParams;
 use crate::rnr::{
-    ensure_colorable, initial_routing, rip_up_and_reroute, InitialWork, PinIndex, RnrStats, RnrWork,
+    ensure_colorable, initial_routing, rip_up_and_reroute, InitialWork, RnrStats, RnrWork,
 };
 use crate::search::SearchScratch;
-use crate::state::RouterState;
+use crate::state::{PinIndex, RouterState};
 
 /// Failpoint name for an injected delay at the start of every phase
 /// activation (used by the chaos tests to force deadline exhaustion).
@@ -461,9 +461,6 @@ pub struct RoutingSession<'a> {
     // mid-flight; outside the crate the accessors below are the API.
     pub(crate) netlist: &'a Netlist,
     pub(crate) config: RouterConfig,
-    /// Pin location → pinned nets, built once for the whole session
-    /// and shared by both R&R phases.
-    pub(crate) pins: PinIndex,
     pub(crate) state: RouterState,
     pub(crate) scratch: SearchScratch,
     pub(crate) start: Instant,
@@ -489,7 +486,6 @@ impl<'a> RoutingSession<'a> {
         RoutingSession {
             netlist,
             config,
-            pins: PinIndex::build(&state.grid, netlist),
             state,
             scratch: SearchScratch::new(),
             start: Instant::now(),
@@ -543,12 +539,6 @@ impl<'a> RoutingSession<'a> {
     /// stages.
     pub fn state(&self) -> &RouterState {
         &self.state
-    }
-
-    /// The session's pin index (patched in place by
-    /// [`RoutingSession::apply_delta`]), for differential audits.
-    pub fn pin_index(&self) -> &PinIndex {
-        &self.pins
     }
 
     /// Congestion-phase counters accumulated over every activation so
@@ -690,7 +680,6 @@ impl<'a> RoutingSession<'a> {
         let (clean, stats) = rip_up_and_reroute::<FVPS>(
             &mut self.state,
             self.netlist,
-            &self.pins,
             limits,
             &mut rnr.work,
             &mut self.scratch,
@@ -866,7 +855,8 @@ impl<'a> RoutingSession<'a> {
     ///    the nets the edit perturbs through occupancy, cost windows,
     ///    or via-coloring conflicts — against the pre-edit state,
     /// 2. applies the ops in order, patching occupancy, via tracking,
-    ///    pin seeds, wiring blockages, and the pin index **in place**,
+    ///    pin seeds and wiring blockages **in place**, then rebuilds
+    ///    the pin index from `edited`,
     /// 3. rips up only the victims, and
     /// 4. rewinds the phase machinery so the normal `initial_route →
     ///    negotiate → tpl_removal → ensure_colorable` sequence re-runs
@@ -912,26 +902,21 @@ impl<'a> RoutingSession<'a> {
 
         // Apply the ops in order, mirroring them on a simulated
         // netlist so every step sees the definitions in force at that
-        // point. Pin-index edits are batched for one patch pass.
+        // point. The pin index still describes the base netlist here,
+        // which answers `is_pin_via` alike for every route an op
+        // uninstalls: a route's vias below the first routing layer sit
+        // on its own net's base pads.
         let mut sim = self.netlist.clone();
-        let mut pin_removals: Vec<(i32, i32, NetId)> = Vec::new();
-        let mut pin_additions: Vec<(i32, i32, NetId)> = Vec::new();
         for op in delta.ops() {
             match op {
                 DeltaOp::AddNet(net) => {
                     let id = sim.push(net.clone());
                     self.state.add_net(id, net);
-                    for p in net.pins() {
-                        pin_additions.push((p.x, p.y, id));
-                    }
                 }
                 DeltaOp::RemoveNet(id) => {
                     let old = sim[*id].clone();
                     sim.retire(*id);
                     self.state.remove_net(*id, &old, &sim);
-                    for p in old.pins() {
-                        pin_removals.push((p.x, p.y, *id));
-                    }
                 }
                 DeltaOp::MovePad { net, from, to } => {
                     let old = sim[*net].clone();
@@ -944,12 +929,6 @@ impl<'a> RoutingSession<'a> {
                     sim.replace(*net, moved.clone());
                     self.state.remove_net(*net, &old, &sim);
                     self.state.add_net(*net, &moved);
-                    for p in old.pins() {
-                        pin_removals.push((p.x, p.y, *net));
-                    }
-                    for p in moved.pins() {
-                        pin_additions.push((p.x, p.y, *net));
-                    }
                 }
                 DeltaOp::AddBlockage { layer, x, y } => {
                     self.state.set_wire_blockage(*layer, *x, *y, true);
@@ -959,6 +938,10 @@ impl<'a> RoutingSession<'a> {
                 }
             }
         }
+
+        // The pin index is a function of the netlist: rebuild it from
+        // `edited` before the victims' uninstalls ask `is_pin_via`.
+        self.state.pins = PinIndex::build(&self.state.grid, edited);
 
         // Rip the victims; everything else keeps its route, penalties,
         // and history (the warm start).
@@ -975,10 +958,6 @@ impl<'a> RoutingSession<'a> {
             Counter::EcoReused,
             self.state.solution.routed_count() as i64,
         );
-
-        // Patch the CSR pin index in place (ascending-id order is
-        // preserved, so the patched index equals a rebuild).
-        self.pins.patch(&pin_removals, &pin_additions);
 
         // Rewind the phase machinery: the victims, the added nets, and
         // any initial-routing work a budget left unattempted become

@@ -24,7 +24,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-use sadp_grid::{GridPoint, NetId, Netlist, RoutingGrid, Via};
+use sadp_grid::{GridPoint, NetId, Netlist, Via};
 use sadp_trace::{Counter, Phase, RouteObserver};
 use tpl_decomp::{exact_color, welsh_powell, DecompGraph};
 
@@ -54,139 +54,6 @@ impl RnrStats {
         self.reroutes += later.reroutes;
         self.failures += later.failures;
         self.termination = later.termination;
-    }
-}
-
-/// Dense pin index: for every grid cell, the nets pinned there.
-///
-/// CSR layout (one offsets array over the cells, one packed net
-/// array) instead of a `HashMap<(i32, i32), Vec<NetId>>`: the R&R
-/// inner loop queries it once per violation, and on the hot path the
-/// coordinate hashing and per-cell `Vec`s dominated the lookup cost.
-/// Derived from the netlist, so callers build it once (see
-/// `RoutingSession::new`) and pass it to both R&R phases; an ECO edit
-/// patches it through [`PinIndex::patch`] instead of rebuilding.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PinIndex {
-    width: i32,
-    height: i32,
-    offsets: Vec<u32>,
-    nets: Vec<NetId>,
-}
-
-impl PinIndex {
-    /// Builds the index for a netlist on a grid. Out-of-bounds pins
-    /// (rejected by validation anyway) are ignored.
-    pub fn build(grid: &RoutingGrid, netlist: &Netlist) -> PinIndex {
-        let (width, height) = (grid.width(), grid.height());
-        let cells = (width as usize) * (height as usize);
-        let cell = |x: i32, y: i32| -> Option<usize> {
-            (x >= 0 && y >= 0 && x < width && y < height)
-                .then(|| (y as usize) * (width as usize) + x as usize)
-        };
-        let mut offsets = vec![0u32; cells + 1];
-        for (_, net) in netlist.iter() {
-            for p in net.pins() {
-                if let Some(c) = cell(p.x, p.y) {
-                    offsets[c + 1] += 1;
-                }
-            }
-        }
-        for c in 0..cells {
-            offsets[c + 1] += offsets[c];
-        }
-        let mut nets = vec![NetId(0); offsets[cells] as usize];
-        let mut cursor = offsets.clone();
-        for (id, net) in netlist.iter() {
-            for p in net.pins() {
-                if let Some(c) = cell(p.x, p.y) {
-                    nets[cursor[c] as usize] = id;
-                    cursor[c] += 1;
-                }
-            }
-        }
-        PinIndex {
-            width,
-            height,
-            offsets,
-            nets,
-        }
-    }
-
-    /// The nets pinned at `(x, y)` (netlist order; empty off-grid).
-    pub fn nets_at(&self, x: i32, y: i32) -> &[NetId] {
-        if x < 0 || y < 0 || x >= self.width || y >= self.height {
-            return &[];
-        }
-        let c = (y as usize) * (self.width as usize) + x as usize;
-        &self.nets[self.offsets[c] as usize..self.offsets[c + 1] as usize]
-    }
-
-    /// Applies an ECO edit in place: drops `remove` entries and merges
-    /// `add` entries (each `(x, y, net)`), without re-walking the
-    /// netlist. One linear pass over the CSR arrays; per-cell entries
-    /// stay in ascending-id order, so the patched index is equal (by
-    /// `==`) to a fresh [`PinIndex::build`] of the edited netlist.
-    /// Out-of-bounds entries are ignored, mirroring `build`.
-    pub fn patch(&mut self, remove: &[(i32, i32, NetId)], add: &[(i32, i32, NetId)]) {
-        use std::collections::HashMap;
-        if remove.is_empty() && add.is_empty() {
-            return;
-        }
-        let cell = |x: i32, y: i32| -> Option<usize> {
-            (x >= 0 && y >= 0 && x < self.width && y < self.height)
-                .then(|| (y as usize) * (self.width as usize) + x as usize)
-        };
-        let mut removals: HashMap<usize, Vec<NetId>> = HashMap::new();
-        for &(x, y, id) in remove {
-            if let Some(c) = cell(x, y) {
-                removals.entry(c).or_default().push(id);
-            }
-        }
-        let mut additions: HashMap<usize, Vec<NetId>> = HashMap::new();
-        for &(x, y, id) in add {
-            if let Some(c) = cell(x, y) {
-                additions.entry(c).or_default().push(id);
-            }
-        }
-        for ids in additions.values_mut() {
-            ids.sort_unstable();
-        }
-        let cells = (self.width as usize) * (self.height as usize);
-        let mut nets = Vec::with_capacity(
-            (self.nets.len() + add.len()).saturating_sub(remove.len().min(self.nets.len())),
-        );
-        let mut offsets = vec![0u32; cells + 1];
-        for c in 0..cells {
-            let old = &self.nets[self.offsets[c] as usize..self.offsets[c + 1] as usize];
-            let empty_r = Vec::new();
-            let empty_a = Vec::new();
-            let gone = removals.get(&c).unwrap_or(&empty_r);
-            let fresh = additions.get(&c).unwrap_or(&empty_a);
-            // Merge the surviving old entries (ascending) with the new
-            // ones (ascending), preserving the global ascending-id
-            // invariant `build` establishes.
-            let mut fi = 0usize;
-            let mut gone_left = gone.clone();
-            for &id in old {
-                if let Some(k) = gone_left.iter().position(|&g| g == id) {
-                    gone_left.swap_remove(k);
-                    continue;
-                }
-                while fi < fresh.len() && fresh[fi] < id {
-                    nets.push(fresh[fi]);
-                    fi += 1;
-                }
-                nets.push(id);
-            }
-            while fi < fresh.len() {
-                nets.push(fresh[fi]);
-                fi += 1;
-            }
-            offsets[c + 1] = nets.len() as u32;
-        }
-        self.offsets = offsets;
-        self.nets = nets;
     }
 }
 
@@ -292,7 +159,6 @@ fn reroute(
 /// contents on return are the rip candidates.
 fn rip_candidate_at(
     state: &RouterState,
-    pins: &PinIndex,
     p: GridPoint,
     rotation: usize,
     buf: &mut Vec<NetId>,
@@ -308,7 +174,7 @@ fn rip_candidate_at(
     // wire may also pass here; rerouting is still the only
     // lever, except for pure pin pads which every route of
     // that net must touch. Exclude nets pinned exactly here.
-    buf.retain(|id| !(p.layer <= first_routing && pins.nets_at(p.x, p.y).contains(id)));
+    buf.retain(|id| !(p.layer <= first_routing && state.pins.nets_at(p.x, p.y).contains(id)));
     if buf.is_empty() {
         None
     } else {
@@ -383,7 +249,6 @@ impl RnrWork {
 pub(crate) fn rip_up_and_reroute<const FVPS: bool>(
     state: &mut RouterState,
     netlist: &Netlist,
-    pins: &PinIndex,
     limits: PhaseLimits,
     work: &mut RnrWork,
     scratch: &mut SearchScratch,
@@ -423,8 +288,7 @@ pub(crate) fn rip_up_and_reroute<const FVPS: bool>(
         // Stale-entry check and victim selection.
         let victim = match viol {
             Violation::Congestion(p) => {
-                let Some(v) = rip_candidate_at(state, pins, p, work.rotation, &mut work.victims)
-                else {
+                let Some(v) = rip_candidate_at(state, p, work.rotation, &mut work.victims) else {
                     continue; // stale: resolved meanwhile
                 };
                 obs.counter(phase, Counter::CongestionHits, 1);
@@ -675,14 +539,12 @@ mod tests {
     fn negotiate(
         st: &mut RouterState,
         nl: &Netlist,
-        pins: &PinIndex,
         iters: usize,
         scratch: &mut SearchScratch,
     ) -> (bool, RnrStats) {
         rip_up_and_reroute::<false>(
             st,
             nl,
-            pins,
             PhaseLimits::iters_only(iters),
             &mut RnrWork::default(),
             scratch,
@@ -694,54 +556,17 @@ mod tests {
     fn remove_fvps(
         st: &mut RouterState,
         nl: &Netlist,
-        pins: &PinIndex,
         iters: usize,
         scratch: &mut SearchScratch,
     ) -> (bool, RnrStats) {
         rip_up_and_reroute::<true>(
             st,
             nl,
-            pins,
             PhaseLimits::iters_only(iters),
             &mut RnrWork::default(),
             scratch,
             &mut NoopObserver,
         )
-    }
-
-    #[test]
-    fn pin_index_patch_matches_rebuild() {
-        let grid = RoutingGrid::three_layer(16, 16);
-        let mut nl = Netlist::new();
-        nl.push(Net::new("a", vec![Pin::new(1, 1), Pin::new(8, 1)]));
-        nl.push(Net::new("b", vec![Pin::new(1, 1), Pin::new(9, 5)]));
-        nl.push(Net::new("c", vec![Pin::new(4, 4), Pin::new(12, 4)]));
-        let mut pins = PinIndex::build(&grid, &nl);
-        // Retire b, move c's pad (4,4) -> (5,5), add d pinned at a
-        // shared cell.
-        nl.retire(NetId(1));
-        nl.replace(
-            NetId(2),
-            Net::new("c", vec![Pin::new(5, 5), Pin::new(12, 4)]),
-        );
-        let d = nl.push(Net::new("d", vec![Pin::new(1, 1), Pin::new(5, 5)]));
-        pins.patch(
-            &[
-                (1, 1, NetId(1)),
-                (9, 5, NetId(1)),
-                (4, 4, NetId(2)),
-                (12, 4, NetId(2)),
-            ],
-            &[(5, 5, NetId(2)), (12, 4, NetId(2)), (1, 1, d), (5, 5, d)],
-        );
-        let rebuilt = PinIndex::build(&grid, &nl);
-        assert_eq!(pins, rebuilt);
-        assert_eq!(pins.nets_at(1, 1), &[NetId(0), d]);
-        assert_eq!(pins.nets_at(5, 5), &[NetId(2), d]);
-        assert_eq!(pins.nets_at(9, 5), &[] as &[NetId]);
-        // Out-of-bounds entries are ignored like in build.
-        pins.patch(&[(99, 0, NetId(0))], &[(-1, 2, d)]);
-        assert_eq!(pins, rebuilt);
     }
 
     #[test]
@@ -817,11 +642,10 @@ mod tests {
             ));
         }
         let (nl, mut st) = build(nets, 24, 24);
-        let pins = PinIndex::build(&st.grid, &nl);
         let mut scratch = SearchScratch::new();
         let failed = route_all(&mut st, &nl, &mut scratch);
         assert!(failed.is_empty());
-        let (clean, _stats) = negotiate(&mut st, &nl, &pins, 10_000, &mut scratch);
+        let (clean, _stats) = negotiate(&mut st, &nl, 10_000, &mut scratch);
         assert!(clean, "congestion not resolved");
         assert!(st.solution.shorts().is_empty());
         assert!(st.solution.connectivity_errors(&nl).is_empty());
@@ -843,11 +667,10 @@ mod tests {
         }
         let grid = RoutingGrid::three_layer(24, 24);
         let mut st = RouterState::new(grid, &nl, SadpKind::Sid, CostParams::default(), true, false);
-        let pins = PinIndex::build(&st.grid, &nl);
         let mut scratch = SearchScratch::new();
         let failed = route_all(&mut st, &nl, &mut scratch);
         assert!(failed.is_empty());
-        let (_c, _s) = negotiate(&mut st, &nl, &pins, 10_000, &mut scratch);
+        let (_c, _s) = negotiate(&mut st, &nl, 10_000, &mut scratch);
         st.consider_tpl = true;
         let windows: usize = st.fvp.iter().map(|f| f.fvp_windows().len()).sum();
         assert!(windows > 0, "the TPL phase starts with no FVP window");
@@ -857,7 +680,6 @@ mod tests {
             let (clean, stats) = rip_up_and_reroute::<true>(
                 &mut st,
                 &nl,
-                &pins,
                 PhaseLimits::iters_only(slice),
                 &mut work,
                 &mut scratch,
@@ -919,11 +741,10 @@ mod tests {
             24,
             24,
         );
-        let pins = PinIndex::build(&st.grid, &nl);
         let mut scratch = SearchScratch::new();
         route_all(&mut st, &nl, &mut scratch);
-        negotiate(&mut st, &nl, &pins, 1000, &mut scratch);
-        remove_fvps(&mut st, &nl, &pins, 1000, &mut scratch);
+        negotiate(&mut st, &nl, 1000, &mut scratch);
+        remove_fvps(&mut st, &nl, 1000, &mut scratch);
         let (colorable, _) = ensure_colorable(
             &mut st,
             &nl,
@@ -955,7 +776,6 @@ mod tests {
 
         let run = |slice: usize| {
             let (nl, mut st) = build(nets.clone(), 24, 24);
-            let pins = PinIndex::build(&st.grid, &nl);
             let mut scratch = SearchScratch::new();
             route_all(&mut st, &nl, &mut scratch);
             // The cost-aware initial pass avoids overlaps on an open
@@ -979,7 +799,6 @@ mod tests {
                 let (_, stats) = rip_up_and_reroute::<false>(
                     &mut st,
                     &nl,
-                    &pins,
                     PhaseLimits::iters_only(slice),
                     &mut work,
                     &mut scratch,

@@ -1,9 +1,7 @@
-//! Mutable router state: the evolving solution, occupancy view, cost
-//! maps, FVP indices (which also answer the blocked via locations of
-//! Algorithm 2), and the per-net cost journals implementing
-//! Algorithm 1.
-
-use std::collections::HashSet;
+//! Mutable router state: the evolving solution, occupancy view, pin
+//! index, cost maps, FVP indices (which also answer the blocked via
+//! locations of Algorithm 2), and the per-net cost journals
+//! implementing Algorithm 1.
 
 use dvi::{feasible_candidate, Candidate, LayoutView};
 use sadp_grid::{
@@ -33,6 +31,75 @@ pub(crate) struct Delta {
     pub(crate) map: MapKind,
     pub(crate) point: GridPoint,
     pub(crate) amount: i64,
+}
+
+/// Dense pin index: for every grid cell, the nets pinned there. It is
+/// the router's one record of pin positions: [`RouterState::is_pin_via`]
+/// asks it for every via a route install or uninstall touches, and the
+/// R&R loop once per congested point.
+///
+/// CSR layout (one offsets array over the cells, one packed net
+/// array) instead of a `HashMap<(i32, i32), Vec<NetId>>`, so a lookup
+/// neither hashes nor chases a per-cell `Vec`. Pins are fixed, so the
+/// index is derived from the netlist alone: [`RouterState::new`]
+/// builds it, and an ECO edit (`RoutingSession::apply_delta`) builds
+/// it again from the edited netlist — one counting pass over the pins
+/// and one prefix sum over the cells.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PinIndex {
+    width: i32,
+    height: i32,
+    offsets: Vec<u32>,
+    nets: Vec<NetId>,
+}
+
+impl PinIndex {
+    /// Builds the index for a netlist on a grid. Out-of-bounds pins
+    /// (rejected by validation anyway) are ignored.
+    pub fn build(grid: &RoutingGrid, netlist: &Netlist) -> PinIndex {
+        let (width, height) = (grid.width(), grid.height());
+        let cells = (width as usize) * (height as usize);
+        let cell = |x: i32, y: i32| -> Option<usize> {
+            (x >= 0 && y >= 0 && x < width && y < height)
+                .then(|| (y as usize) * (width as usize) + x as usize)
+        };
+        let mut offsets = vec![0u32; cells + 1];
+        for (_, net) in netlist.iter() {
+            for p in net.pins() {
+                if let Some(c) = cell(p.x, p.y) {
+                    offsets[c + 1] += 1;
+                }
+            }
+        }
+        for c in 0..cells {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut nets = vec![NetId(0); offsets[cells] as usize];
+        let mut cursor = offsets.clone();
+        for (id, net) in netlist.iter() {
+            for p in net.pins() {
+                if let Some(c) = cell(p.x, p.y) {
+                    nets[cursor[c] as usize] = id;
+                    cursor[c] += 1;
+                }
+            }
+        }
+        PinIndex {
+            width,
+            height,
+            offsets,
+            nets,
+        }
+    }
+
+    /// The nets pinned at `(x, y)` (netlist order; empty off-grid).
+    pub fn nets_at(&self, x: i32, y: i32) -> &[NetId] {
+        if x < 0 || y < 0 || x >= self.width || y >= self.height {
+            return &[];
+        }
+        let c = (y as usize) * (self.width as usize) + x as usize;
+        &self.nets[self.offsets[c] as usize..self.offsets[c + 1] as usize]
+    }
 }
 
 /// The router's complete mutable state.
@@ -81,9 +148,11 @@ pub struct RouterState {
     pub enforce_blocked: bool,
     /// FVP index per via layer.
     pub fvp: Vec<FvpIndex>,
-    /// Pin locations (fixed via stacks), used to exempt pin vias from
-    /// incremental via bookkeeping and from rip-up.
-    pin_vias: HashSet<(i32, i32)>,
+    /// The nets pinned at each cell (fixed pads and via stacks): pin
+    /// vias are exempt from incremental via bookkeeping and from
+    /// rip-up, and a net is never ripped for congestion at its own
+    /// pad.
+    pub pins: PinIndex,
     pub(crate) journals: Vec<Vec<Delta>>,
 }
 
@@ -113,7 +182,7 @@ impl RouterState {
             fvp: (0..via_layers)
                 .map(|_| FvpIndex::new(w.max(3), h.max(3)))
                 .collect(),
-            pin_vias: HashSet::new(),
+            pins: PinIndex::build(&grid, netlist),
             journals: vec![Vec::new(); netlist.len()],
             grid,
             kind,
@@ -125,7 +194,6 @@ impl RouterState {
         for (id, net) in netlist.iter() {
             let stub = pin_stub(&state.grid, net);
             for &via in stub.vias() {
-                state.pin_vias.insert((via.x, via.y));
                 state.add_via_tracking(via);
             }
             state.view.add_route(id, &stub);
@@ -136,7 +204,7 @@ impl RouterState {
     /// `true` when `via` belongs to a fixed pin via stack (below the
     /// first routing layer).
     pub fn is_pin_via(&self, via: Via) -> bool {
-        via.below < self.grid.first_routing_layer() && self.pin_vias.contains(&(via.x, via.y))
+        via.below < self.grid.first_routing_layer() && !self.pins.nets_at(via.x, via.y).is_empty()
     }
 
     fn add_via_tracking(&mut self, via: Via) {
@@ -402,9 +470,11 @@ impl RouterState {
     /// Seeds a net appended (or re-seeded after a pad move) by an ECO
     /// edit: grows the per-net arrays if needed and installs the pin
     /// pads and pin via stacks exactly as [`RouterState::new`] does.
+    /// The pin index is left to the caller, which rebuilds it once
+    /// the whole edit is applied.
     ///
     /// The slot must be empty: no installed route, no journal.
-    pub fn add_net(&mut self, id: NetId, net: &Net) {
+    pub(crate) fn add_net(&mut self, id: NetId, net: &Net) {
         if id.index() >= self.journals.len() {
             self.journals.resize_with(id.index() + 1, Vec::new);
         }
@@ -416,7 +486,6 @@ impl RouterState {
         );
         let stub = pin_stub(&self.grid, net);
         for &via in stub.vias() {
-            self.pin_vias.insert((via.x, via.y));
             self.add_via_tracking(via);
         }
         self.view.add_route(id, &stub);
@@ -427,12 +496,14 @@ impl RouterState {
     ///
     /// `net` is the net's *old* definition (the netlist may already be
     /// edited); `netlist` is the *post-edit* netlist, consulted so pin
-    /// via stacks shared with a surviving net stay seeded. Shared pin
-    /// positions keep their FVP via bit and `pin_vias` entry, but the
-    /// removed net's TPL conflict contribution is still retracted —
-    /// mirroring how [`RouterState::new`] counts one contribution per
-    /// net even on shared positions.
-    pub fn remove_net(&mut self, id: NetId, net: &Net, netlist: &Netlist) {
+    /// via stacks shared with a surviving net stay seeded. The pin
+    /// index cannot answer that: it still describes the netlist before
+    /// the edit until the caller rebuilds it. Shared pin positions keep
+    /// their FVP via bit, but the removed net's TPL conflict
+    /// contribution is still retracted — mirroring how
+    /// [`RouterState::new`] counts one contribution per net even on
+    /// shared positions.
+    pub(crate) fn remove_net(&mut self, id: NetId, net: &Net, netlist: &Netlist) {
         self.uninstall_route(id);
         let stub = pin_stub(&self.grid, net);
         for &via in stub.vias() {
@@ -452,7 +523,6 @@ impl RouterState {
                 }
             } else {
                 self.remove_via_tracking(via);
-                self.pin_vias.remove(&(via.x, via.y));
             }
         }
         self.view.remove_route(id, &stub);
@@ -514,6 +584,18 @@ mod tests {
         assert!(!state.is_pin_via(Via::new(1, 4, 4)));
         // Pin vias participate in TPL conflict counts.
         assert!(state.conflict_count[GridPoint::new(0, 5, 4)] > 0);
+    }
+
+    #[test]
+    fn pin_index_lists_the_nets_pinned_at_each_cell() {
+        let mut nl = Netlist::new();
+        nl.push(Net::new("a", vec![Pin::new(1, 1), Pin::new(8, 1)]));
+        nl.push(Net::new("b", vec![Pin::new(9, 5), Pin::new(1, 1)]));
+        let pins = PinIndex::build(&RoutingGrid::three_layer(16, 16), &nl);
+        assert_eq!(pins.nets_at(1, 1), &[NetId(0), NetId(1)]);
+        assert_eq!(pins.nets_at(9, 5), &[NetId(1)]);
+        assert!(pins.nets_at(2, 2).is_empty());
+        assert!(pins.nets_at(-1, 1).is_empty() && pins.nets_at(16, 0).is_empty());
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //!
 //! 1. **Differential index equality** — after
 //!    `RoutingSession::apply_delta` patches its dense indexes in
-//!    place, every path-independent index (occupancy view, FVP via
-//!    sets and window counts, TPL conflict counts, wiring blockages,
-//!    the CSR pin index, and the surviving routes) is byte-identical
-//!    to a `RouterState` rebuilt from scratch on the edited layout
-//!    with the same surviving routes installed. The path-dependent
-//!    cost maps (wire/via penalties, history) are intentionally warm
-//!    and excluded.
+//!    place and rebuilds its pin index, every path-independent index
+//!    (occupancy view, FVP via sets and window counts, TPL conflict
+//!    counts, wiring blockages, the pin index, and the surviving
+//!    routes) is byte-identical to a `RouterState` rebuilt from
+//!    scratch on the edited layout with the same surviving routes
+//!    installed. The path-dependent cost maps (wire/via penalties,
+//!    history) are intentionally warm and excluded. A second delta
+//!    puts pads on cells other nets are pinned at, which the first
+//!    one avoids.
 //! 2. **Determinism** — the eco outcome fingerprint is identical
 //!    across execution-pool widths and a budget-interrupt/resume leg:
 //!    the exec knobs tune *how*, never *what*, and that extends to
@@ -25,7 +27,6 @@ use sadp_grid::{
     RoutingGrid, SadpKind,
 };
 use sadp_router::budget::RouteBudget;
-use sadp_router::rnr::PinIndex;
 use sadp_router::state::RouterState;
 use sadp_router::{RouterConfig, RoutingOutcome, RoutingSession};
 use sadp_trace::NoopObserver;
@@ -145,6 +146,7 @@ fn assert_states_match(warm: &RouterState, cold: &RouterState) {
         );
     }
     assert_eq!(warm.conflict_count, cold.conflict_count, "conflict counts");
+    assert_eq!(warm.pins, cold.pins, "pin index");
     let warm_routes: Vec<(NetId, RoutedNet)> = warm
         .solution
         .iter()
@@ -158,22 +160,48 @@ fn assert_states_match(warm: &RouterState, cold: &RouterState) {
     assert_eq!(warm_routes, cold_routes, "surviving routes");
 }
 
-#[test]
-fn patched_indexes_equal_scratch_rebuild_of_edited_layout() {
-    let (grid, nl, delta, edited) = setup();
+/// A delta that puts pads where other nets are pinned: it adds a net
+/// on net 3's first pad and removes net 3, so the pad survives through
+/// the added net, then moves net 4's first pad onto net 5's first pad.
+fn shared_pad_delta(grid: &RoutingGrid, nl: &Netlist) -> LayoutDelta {
+    let used: HashSet<(i32, i32)> = nl
+        .iter()
+        .flat_map(|(_, n)| n.pins().iter().map(|p| (p.x, p.y)))
+        .collect();
+    let free = (0..grid.height())
+        .flat_map(|y| (0..grid.width()).map(move |x| (x, y)))
+        .find(|c| !used.contains(c))
+        .expect("a free cell");
+    let mut d = LayoutDelta::new();
+    d.add_net(Net::new(
+        "eco_shared",
+        vec![nl[NetId(3)].pins()[0], Pin::new(free.0, free.1)],
+    ));
+    d.remove_net(NetId(3));
+    d.move_pad(NetId(4), nl[NetId(4)].pins()[0], nl[NetId(5)].pins()[0]);
+    d
+}
+
+/// Routes `nl` to convergence, applies `delta` warm, and builds the
+/// same post-edit moment from scratch: a fresh state on `edited` with
+/// the same blockages and surviving routes.
+fn warm_and_cold<'a>(
+    grid: &RoutingGrid,
+    nl: &'a Netlist,
+    delta: &LayoutDelta,
+    edited: &'a Netlist,
+) -> (RoutingSession<'a>, RouterState) {
     let config = RouterConfig::full(SadpKind::Sim);
     let mut obs = NoopObserver;
-    let mut session = RoutingSession::try_new(&grid, &nl, config).expect("valid base");
+    let mut session = RoutingSession::try_new(grid, nl, config).expect("valid base");
     assert!(session.ensure_colorable(&mut obs), "base must converge");
     session
-        .apply_delta(&edited, &delta, &mut obs)
+        .apply_delta(edited, delta, &mut obs)
         .expect("valid delta");
 
-    // Rebuild the same post-edit moment from scratch: fresh state on
-    // the edited netlist, same blockages, same surviving routes.
     let mut cold = RouterState::new(
         grid.clone(),
-        &edited,
+        edited,
         config.sadp,
         config.params,
         config.consider_dvi,
@@ -193,19 +221,30 @@ fn patched_indexes_equal_scratch_rebuild_of_edited_layout() {
     for (id, route) in survivors {
         cold.install_route(id, route);
     }
+    (session, cold)
+}
 
+#[test]
+fn patched_indexes_equal_scratch_rebuild_of_edited_layout() {
+    let (grid, nl, delta, edited) = setup();
+    let (session, cold) = warm_and_cold(&grid, &nl, &delta, &edited);
     assert_states_match(session.state(), &cold);
-    assert_eq!(
-        session.pin_index(),
-        &PinIndex::build(&grid, &edited),
-        "patched pin index must equal a rebuild on the edited netlist"
-    );
 
     // The warm session then completes to a clean solution.
-    let out = session.try_finish(&mut obs).expect("eco finish");
+    let out = session.try_finish(&mut NoopObserver).expect("eco finish");
     assert!(out.routed_all, "eco run must route victims and added nets");
     assert!(out.congestion_free);
     assert!(out.colorable);
+
+    // Shared pads: `remove_net` keeps a pad another net is pinned at,
+    // and `is_pin_via` answers at cells with two pinned nets. Pads on
+    // one cell overlap for good, so this input is not finished.
+    let shared = shared_pad_delta(&grid, &nl);
+    let shared_edited = shared.apply(&grid, &nl).expect("valid delta");
+    let (session, cold) = warm_and_cold(&grid, &nl, &shared, &shared_edited);
+    let pad = nl[NetId(5)].pins()[0];
+    assert_eq!(cold.pins.nets_at(pad.x, pad.y), &[NetId(4), NetId(5)]);
+    assert_states_match(session.state(), &cold);
 }
 
 /// Everything deterministic about an outcome (runtimes excluded).
