@@ -229,7 +229,13 @@ pub struct JobBudget {
     /// Wall-clock deadline in milliseconds; expiry yields a valid
     /// partial outcome tagged `deadline`, not an error.
     pub deadline_ms: Option<u64>,
-    /// Per-phase-activation iteration cap (see `RouteBudget`).
+    /// Iteration cap of each rip-up-and-reroute phase (congestion
+    /// negotiation and TPL removal): [`RouteRequest::router_config`]
+    /// sets both `RouterConfig` caps to it. Such a cap counts its
+    /// phase's iterations over the whole run, so a capped job routes
+    /// the same however the service slices it. `0` keeps the automatic
+    /// cap; a cap above `sadp_router::flow::MAX_ITER_CAP` fails the
+    /// job with kind `config`.
     pub max_phase_iters: Option<usize>,
     /// A* node-expansion cap for the whole job.
     pub max_expansions: Option<u64>,
@@ -241,15 +247,13 @@ impl JobBudget {
         JobBudget::default()
     }
 
-    /// The declarative `RouteBudget` equivalent (deadline re-anchored
-    /// by the worker at start time).
+    /// The deadline and the expansion cap as a `RouteBudget`
+    /// (deadline re-anchored by the worker at start time). The
+    /// iteration cap is part of the router configuration instead.
     pub fn to_route_budget(&self) -> RouteBudget {
         let mut b = RouteBudget::unlimited();
         if let Some(ms) = self.deadline_ms {
             b = b.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(n) = self.max_phase_iters {
-            b = b.with_max_phase_iters(n);
         }
         if let Some(n) = self.max_expansions {
             b = b.with_max_expansions(n);
@@ -286,9 +290,11 @@ impl RouteRequest {
         }
     }
 
-    /// The router configuration this request resolves to. The pool
-    /// width comes from `sadp-exec` and is output-invariant, so the
-    /// request still fully determines the routing result.
+    /// The router configuration this request resolves to, with the
+    /// job's [`JobBudget::max_phase_iters`] as both R&R iteration
+    /// caps. The pool width comes from `sadp-exec` and is
+    /// output-invariant, so the request still fully determines the
+    /// routing result.
     pub fn router_config(&self) -> Result<RouterConfig, ConfigError> {
         let (dvi, tpl) = match self.arm {
             Arm::Baseline => (false, false),
@@ -296,7 +302,13 @@ impl RouteRequest {
             Arm::Tpl => (false, true),
             Arm::Full => (true, true),
         };
-        RouterConfig::builder(self.kind).dvi(dvi).tpl(tpl).build()
+        let cap = self.budget.max_phase_iters.unwrap_or(0);
+        RouterConfig::builder(self.kind)
+            .dvi(dvi)
+            .tpl(tpl)
+            .max_congestion_iters(cap)
+            .max_tpl_iters(cap)
+            .build()
     }
 
     /// The deterministic run identifier: an FNV-1a hash of the
@@ -555,5 +567,14 @@ mod tests {
         req.arm = Arm::Baseline;
         let config = req.router_config().unwrap();
         assert!(!config.consider_dvi && !config.consider_tpl);
+        assert_eq!((config.max_congestion_iters, config.max_tpl_iters), (0, 0));
+        // The job's iteration cap is both configured R&R caps, not a
+        // budget; a cap the builder refuses is a config error.
+        req.budget.max_phase_iters = Some(3);
+        let config = req.router_config().unwrap();
+        assert_eq!((config.max_congestion_iters, config.max_tpl_iters), (3, 3));
+        assert_eq!(req.budget.to_route_budget(), RouteBudget::unlimited());
+        req.budget.max_phase_iters = Some(sadp_router::flow::MAX_ITER_CAP + 1);
+        assert!(req.router_config().is_err());
     }
 }

@@ -40,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sadp_grid::{Netlist, RouteError, RoutingGrid};
-use sadp_router::{RoutingSession, Termination};
+use sadp_router::RoutingSession;
 use sadp_trace::{fnv1a, Counter, JsonReport, Phase, RouteObserver};
 
 use crate::job::{
@@ -976,8 +976,9 @@ fn ckpt(inner: &Inner, id: JobId) -> Option<(&Durable, JobId)> {
 /// so a crash resumes from the last boundary instead of from scratch
 /// (output-invariant either way — slicing is pinned not to change
 /// outcomes). Slices double from `base_slice`: not for termination —
-/// a configured phase cap ends its phase under any slice — but to keep
-/// re-activations and those fsynced checkpoint writes few.
+/// the job's own iteration cap is a configured phase cap, which ends
+/// its phase under any slice — but to keep re-activations and those
+/// fsynced checkpoint writes few.
 fn drive_session(
     session: &mut RoutingSession<'_>,
     request: &RouteRequest,
@@ -993,8 +994,7 @@ fn drive_session(
     // unsliced activation instead (documented cancellation-latency
     // tradeoff for expansion-capped jobs).
     let sliced = request.budget.max_expansions.is_none();
-    let user_cap = request.budget.max_phase_iters.unwrap_or(usize::MAX);
-    let mut slice = base_slice.min(user_cap).max(1);
+    let mut slice = base_slice.max(1);
     let mut boundaries = 0usize;
 
     loop {
@@ -1019,27 +1019,22 @@ fn drive_session(
             // user's own budget did whatever stopping there was to do.
             return false;
         }
-        match session.termination() {
-            // Deadline/expansion exhaustion is terminal: try_finish
-            // finalizes the partial outcome under the expired budget.
-            Termination::Deadline | Termination::ExpansionCap => return false,
-            Termination::IterationCap => {
-                if slice >= user_cap {
-                    // The *user's* cap stopped the phase: terminal.
-                    return false;
-                }
-                if let Some((durable, id)) = ckpt {
-                    boundaries += 1;
-                    if durable.checkpoint_every > 0
-                        && boundaries.is_multiple_of(durable.checkpoint_every)
-                    {
-                        durable.write_checkpoint(id, &session.checkpoint());
-                    }
-                }
-                slice = slice.saturating_mul(2).min(user_cap);
-            }
-            Termination::Converged => return false,
+        // Deadline exhaustion is terminal: try_finish finalizes the
+        // partial outcome under the expired budget. It is read from
+        // the clock, not from `termination()`, which keeps reporting
+        // the `IterationCap` of an R&R phase that spent its configured
+        // cap while a later phase is paused.
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return false;
         }
+        // Otherwise a slice paused the flow: a boundary.
+        if let Some((durable, id)) = ckpt {
+            boundaries += 1;
+            if durable.checkpoint_every > 0 && boundaries.is_multiple_of(durable.checkpoint_every) {
+                durable.write_checkpoint(id, &session.checkpoint());
+            }
+        }
+        slice = slice.saturating_mul(2);
     }
 }
 

@@ -1,10 +1,11 @@
 //! The entry-point determinism contract: one `RouteRequest` must
 //! fingerprint identically on a bare `RoutingSession`, through the
 //! in-process `Service` at any pool size (sliced or not), and over the
-//! `sadpd` JSON-lines wire.
+//! `sadpd` JSON-lines wire. A job's iteration cap is a configured R&R
+//! cap, so a capped job obeys the same contract.
 
 use sadp_grid::SadpKind;
-use sadp_router::RoutingSession;
+use sadp_router::{RouterConfig, RoutingSession, Termination};
 use sadp_service::wire::{self, Value};
 use sadp_service::{
     outcome_fingerprint, JobOutcome, JobSource, RouteRequest, Service, ServiceConfig,
@@ -36,9 +37,9 @@ fn bare_fingerprint() -> u64 {
     outcome_fingerprint(&outcome)
 }
 
-fn service_fingerprint(config: ServiceConfig) -> (u64, u64) {
+fn service_fingerprint(config: ServiceConfig, request: RouteRequest) -> (u64, u64) {
     let service = Service::start(config);
-    let id = service.submit(request()).expect("accepts job");
+    let id = service.submit(request).expect("accepts job");
     let response = service.wait(id).expect("known job");
     service.shutdown();
     match response.outcome {
@@ -53,27 +54,36 @@ fn all_entry_points_fingerprint_identically() {
     let expected_run_id = request().run_id();
 
     // In-process service, serial pool.
-    let (fp1, rid1) = service_fingerprint(ServiceConfig {
-        workers: 1,
-        ..ServiceConfig::default()
-    });
+    let (fp1, rid1) = service_fingerprint(
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+        request(),
+    );
     assert_eq!(fp1, reference, "workers=1 deviates from bare session");
     assert_eq!(rid1, expected_run_id);
 
     // Wider pool: scheduling must not leak into the result.
-    let (fp4, rid4) = service_fingerprint(ServiceConfig {
-        workers: 4,
-        ..ServiceConfig::default()
-    });
+    let (fp4, rid4) = service_fingerprint(
+        ServiceConfig {
+            workers: 4,
+            ..ServiceConfig::default()
+        },
+        request(),
+    );
     assert_eq!(fp4, reference, "workers=4 deviates from bare session");
     assert_eq!(rid4, expected_run_id);
 
     // Aggressive slicing: budget slicing is output-invariant.
-    let (fp_sliced, _) = service_fingerprint(ServiceConfig {
-        workers: 1,
-        slice_iters: 1,
-        ..ServiceConfig::default()
-    });
+    let (fp_sliced, _) = service_fingerprint(
+        ServiceConfig {
+            workers: 1,
+            slice_iters: 1,
+            ..ServiceConfig::default()
+        },
+        request(),
+    );
     assert_eq!(
         fp_sliced, reference,
         "slice_iters=1 deviates from bare session"
@@ -116,6 +126,53 @@ fn all_entry_points_fingerprint_identically() {
     );
     let shutdown = wire::parse(lines[2]).expect("valid shutdown response");
     assert_eq!(shutdown.get("jobs").and_then(Value::as_u64), Some(1));
+}
+
+/// A job capped at 3 iterations per R&R phase routes like a bare
+/// session configured with that cap, at every slice size. ecc at a
+/// quarter of its size (SIM, seed 1, full arm) needs more than 3
+/// congestion iterations, so the cap ends that phase.
+#[test]
+fn capped_jobs_fingerprint_identically_at_every_slice_size() {
+    let mut req = RouteRequest::new(
+        JobSource::Spec {
+            name: "ecc".into(),
+            scale: 0.25,
+            seed: 1,
+        },
+        SadpKind::Sim,
+    );
+    req.budget.max_phase_iters = Some(3);
+    let (grid, netlist) = req.source.materialize().expect("valid source");
+    let config = RouterConfig::builder(SadpKind::Sim)
+        .dvi(true)
+        .tpl(true)
+        .max_congestion_iters(3)
+        .max_tpl_iters(3)
+        .build()
+        .expect("valid config");
+    let outcome = RoutingSession::try_new(&grid, &netlist, config)
+        .expect("valid inputs")
+        .try_finish(&mut NoopObserver)
+        .expect("clean run");
+    assert_eq!(outcome.termination, Termination::IterationCap);
+    assert!(outcome.routed_all);
+    let reference = outcome_fingerprint(&outcome);
+
+    for slice_iters in [1, 2, 64] {
+        let (fp, _) = service_fingerprint(
+            ServiceConfig {
+                workers: 1,
+                slice_iters,
+                ..ServiceConfig::default()
+            },
+            req.clone(),
+        );
+        assert_eq!(
+            fp, reference,
+            "slice_iters={slice_iters} deviates from the capped session"
+        );
+    }
 }
 
 #[test]

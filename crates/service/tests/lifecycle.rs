@@ -115,6 +115,24 @@ fn deadline_expiry_yields_tagged_partial() {
     service.shutdown();
 }
 
+/// A job iteration cap above the router's limit fails the job with
+/// kind `config` before any routing.
+#[test]
+fn oversized_iteration_cap_fails_as_config() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let mut request = synthetic(20, 1);
+    request.budget.max_phase_iters = Some(sadp_router::flow::MAX_ITER_CAP + 1);
+    let id = service.submit(request).expect("accepts job");
+    match service.wait(id).expect("known job").outcome {
+        JobOutcome::Failed { kind, .. } => assert_eq!(kind, "config"),
+        other => panic!("expected Failed, got {}", other.name()),
+    }
+    service.shutdown();
+}
+
 #[test]
 fn queue_cap_rejects_submissions() {
     let service = Service::start(ServiceConfig {
