@@ -24,19 +24,6 @@ use sadp_grid::{
     WireEdge,
 };
 
-/// Read access to layout occupancy as needed by
-/// [`feasible_candidate`]: implemented by the dense [`LayoutView`] and
-/// by the hash-based [`reference::LayoutView`] kept for differential
-/// testing.
-pub trait Occupancy {
-    /// The grid the view covers.
-    fn grid(&self) -> &RoutingGrid;
-    /// `true` if any net other than `net` covers metal point `p`.
-    fn occupied_by_other(&self, p: GridPoint, net: NetId) -> bool;
-    /// `true` if any via (of any net) sits at `(via_layer, x, y)`.
-    fn via_at(&self, via_layer: u8, x: i32, y: i32) -> bool;
-}
-
 /// Sentinel `Slot::owner` value: no net covers the cell.
 const FREE: u32 = u32::MAX;
 /// Sentinel `Slot::owner` value: the cell's owners live in the
@@ -350,20 +337,6 @@ impl LayoutView {
     }
 }
 
-impl Occupancy for LayoutView {
-    fn grid(&self) -> &RoutingGrid {
-        LayoutView::grid(self)
-    }
-
-    fn occupied_by_other(&self, p: GridPoint, net: NetId) -> bool {
-        LayoutView::occupied_by_other(self, p, net)
-    }
-
-    fn via_at(&self, via_layer: u8, x: i32, y: i32) -> bool {
-        LayoutView::via_at(self, via_layer, x, y)
-    }
-}
-
 /// A feasible DVI candidate: a redundant-via position for one single
 /// via, plus the stub metal needed to connect it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -550,13 +523,12 @@ impl DviProblem {
 /// `via_idx` left unset) when feasible.
 ///
 /// Exposed for the router's cost-assignment scheme, which needs the
-/// feasible-DVIC set of every routed via incrementally. Generic over
-/// the occupancy view so the dense and reference implementations run
-/// the same rule logic; route-side queries go through the route's
-/// precomputed arm masks (O(1) per probe).
-pub fn feasible_candidate<V: Occupancy>(
+/// feasible-DVIC set of every routed via incrementally. Occupancy
+/// queries go through the dense view and route-side queries through
+/// the route's precomputed arm masks (O(1) per probe).
+pub fn feasible_candidate(
     kind: SadpKind,
-    view: &V,
+    view: &LayoutView,
     route: &RoutedNet,
     net: NetId,
     via: Via,
@@ -799,7 +771,7 @@ pub mod reference {
         Dir, GridPoint, NetId, RoutedNet, RoutingGrid, RoutingSolution, SadpKind, Via, WireEdge,
     };
 
-    use super::{Candidate, Occupancy};
+    use super::Candidate;
 
     /// Hash-map layout occupancy (the pre-dense implementation).
     #[derive(Debug, Clone)]
@@ -905,20 +877,6 @@ pub mod reference {
                 }
             }
             seen.len()
-        }
-    }
-
-    impl Occupancy for LayoutView {
-        fn grid(&self) -> &RoutingGrid {
-            LayoutView::grid(self)
-        }
-
-        fn occupied_by_other(&self, p: GridPoint, net: NetId) -> bool {
-            LayoutView::occupied_by_other(self, p, net)
-        }
-
-        fn via_at(&self, via_layer: u8, x: i32, y: i32) -> bool {
-            LayoutView::via_at(self, via_layer, x, y)
         }
     }
 
