@@ -15,7 +15,9 @@
 //! a full reroute — and [`GATE`] compares every row's speedup against
 //! the committed report with 40% slack (speedups are ratios of two
 //! same-host measurements, so they travel better across machines than
-//! absolute times, but still breathe with load).
+//! absolute times, but still breathe with load). [`VICTIMS`] holds
+//! every row's victim count to the baseline's exactly: the analysis is
+//! deterministic, so any change to it is a change of behaviour.
 
 use std::collections::HashSet;
 use std::time::Instant;
@@ -31,6 +33,10 @@ use sadp_trace::NoopObserver;
 /// Each row's warm-vs-cold speedup may fall at most 40% below the
 /// baseline.
 const GATE: Gate = ("speedup", Bound::Fall(0.4));
+
+/// Each row's victim count must equal the baseline's: it may neither
+/// rise nor fall.
+const VICTIMS: [Gate; 2] = [("victims", Bound::Rise(0.0)), ("victims", Bound::Fall(0.0))];
 
 /// The geomean warm-vs-cold speedup of 1-net deltas (row
 /// `geomean/d1`) must stay at 5x or more.
@@ -200,6 +206,9 @@ fn main() {
     }
     for name in &names {
         verdict.gate(&doc, Some(name), &GATE);
+        for gate in &VICTIMS {
+            verdict.gate(&doc, Some(name), gate);
+        }
     }
     verdict.finish();
 }

@@ -3,10 +3,12 @@
 //! (possibly in another process).
 //!
 //! The snapshot captures everything a resumed activation observes:
-//! the partial solution (solution text form), the verbatim per-net
-//! cost journals (replayed verbatim by `RouterState::restore_route`,
-//! so restore is order-independent — recomputing costs on restore
-//! would not be), the negotiated-congestion history, the pending work
+//! the partial solution (solution text form), the DVIC-feasibility
+//! byte of every via of every charged route (one hex digit per via;
+//! `RouterState::restore_route` re-derives the route's Algorithm 1
+//! charges from them, so restore is order-independent — re-checking
+//! feasibility on restore would not be), the negotiated-congestion
+//! history, the pending work
 //! of every phase (the congestion heap as its points in pop order,
 //! renumbered on restore; the TPL heap as its key set — unique
 //! sequence numbers make the pop order a pure function of the set),
@@ -18,12 +20,15 @@
 //! durability contract the service's journal-replay recovery relies
 //! on.
 //!
-//! Format: line-oriented text, a `sadp-checkpoint v1` header, a
+//! Format: line-oriented text, a `sadp-checkpoint v2` header, a
 //! binding line tying the snapshot to its netlist and configuration
-//! (FNV-1a fingerprints), and a trailing `checksum` line over all
-//! preceding bytes. Any mismatch — version, checksum, binding, or a
-//! simulated-replay divergence — is rejected as
-//! [`RouteError::Durability`].
+//! (FNV-1a fingerprints), an `audit` line with the state digest and a
+//! hash of both penalty maps, and a trailing `checksum` line over all
+//! preceding bytes. Any mismatch — version, checksum, binding, a
+//! `dvic` digit count that is not the route's via count, a
+//! simulated-replay divergence, or penalty maps that differ from the
+//! writer's — is rejected as [`RouteError::Durability`]. A `v1` file
+//! (per-net cost journals) is refused like any other version.
 
 use std::cmp::Reverse;
 use std::time::Instant;
@@ -37,10 +42,13 @@ use sadp_trace::fnv1a;
 use crate::budget::{ActiveBudget, Termination};
 use crate::flow::{Progress, RouterConfig, RoutingSession};
 use crate::rnr::{InitialWork, RnrStats, Violation};
-use crate::state::{Delta, MapKind, RouterState};
+use crate::state::RouterState;
 
 /// Magic + version header of the checkpoint format.
-pub const CHECKPOINT_HEADER: &str = "sadp-checkpoint v1";
+pub const CHECKPOINT_HEADER: &str = "sadp-checkpoint v2";
+
+/// The hex digit of each DVIC-feasibility byte (four bits).
+const HEX: &[u8; 16] = b"0123456789abcdef";
 
 fn durability(reason: impl Into<String>) -> RouteError {
     RouteError::Durability {
@@ -188,14 +196,15 @@ impl<'a> RoutingSession<'a> {
         ));
         let d = state_digest(&self.state);
         out.push_str(&format!(
-            "audit {} {:016x} {} {} {:016x} {} {}\n",
+            "audit {} {:016x} {} {} {:016x} {} {} {:016x}\n",
             d.congested,
             d.congested_hash,
             d.fvp_windows,
             d.vias_tracked,
             d.conflict_hash,
             d.wirelength,
-            d.via_count
+            d.via_count,
+            penalty_hash(&self.state)
         ));
         out.push_str(&format!("expanded {}\n", self.scratch.expanded));
         out.push_str(&format!(
@@ -304,21 +313,13 @@ impl<'a> RoutingSession<'a> {
         for p in wb {
             out.push_str(&format!("wb {} {} {}\n", p.layer, p.x, p.y));
         }
-        for (id, journal) in self.state.journals.iter().enumerate() {
-            if journal.is_empty() {
+        for (id, masks) in self.state.dvic.iter().enumerate() {
+            let Some(masks) = masks else {
                 continue;
-            }
-            out.push_str(&format!("journal {id} {}\n", journal.len()));
-            for d in journal {
-                let kind = match d.map {
-                    MapKind::Wire => 'w',
-                    MapKind::ViaLoc => 'v',
-                };
-                out.push_str(&format!(
-                    "jd {kind} {} {} {} {}\n",
-                    d.point.layer, d.point.x, d.point.y, d.amount
-                ));
-            }
+            };
+            out.push_str(&format!("dvic {id} "));
+            out.extend(masks.iter().map(|&m| HEX[usize::from(m & 0xF)] as char));
+            out.push('\n');
         }
         let solution = write_solution(&self.state.solution);
         out.push_str(&format!("solution {}\n", solution.len()));
@@ -377,7 +378,7 @@ impl<'a> RoutingSession<'a> {
             return Err(durability("config fingerprint mismatch"));
         }
         let audit_line = lines.line()?;
-        let recorded = parse_digest(audit_line)?;
+        let (recorded, recorded_penalty) = parse_audit(audit_line)?;
 
         let mut session = RoutingSession::try_new(grid, netlist, config)?;
 
@@ -427,44 +428,38 @@ impl<'a> RoutingSession<'a> {
             session.state.wire_blocked[p] = true;
         }
 
-        // --- per-net cost journals ---
-        let mut journals: Vec<Vec<Delta>> = vec![Vec::new(); netlist.len()];
+        // --- DVIC-feasibility bytes ---
+        let mut masks: Vec<Option<Box<[u8]>>> = vec![None; netlist.len()];
         let solution_len: usize;
         loop {
             let l = lines.line()?;
             let mut t = l.split_whitespace();
             match t.next() {
-                Some("journal") => {
-                    let id: usize = parse_num(t.next(), "journal net id")?;
-                    let n: usize = parse_num(t.next(), "journal delta count")?;
-                    if id >= netlist.len() {
-                        return Err(durability("journal net id out of range"));
+                Some("dvic") => {
+                    if !config.consider_dvi {
+                        return Err(durability("dvic masks on a session without DVI costs"));
                     }
-                    let mut deltas = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let l = lines.line()?;
-                        let mut t = l.split_whitespace();
-                        expect_key(&mut t, "jd")?;
-                        let map = match t.next() {
-                            Some("w") => MapKind::Wire,
-                            Some("v") => MapKind::ViaLoc,
-                            _ => return Err(durability("bad journal map kind")),
-                        };
-                        let point = parse_point(&mut t, grid, "jd")?;
-                        let amount: i64 = parse_num(t.next(), "journal amount")?;
-                        deltas.push(Delta { map, point, amount });
+                    let id: usize = parse_num(t.next(), "dvic net id")?;
+                    let slot = masks
+                        .get_mut(id)
+                        .ok_or_else(|| durability("dvic net id out of range"))?;
+                    if slot.is_some() {
+                        return Err(durability(format!("second dvic line for net {id}")));
                     }
-                    journals[id] = deltas;
+                    *slot = Some(parse_masks(t.next().unwrap_or(""))?);
+                    if t.next().is_some() {
+                        return Err(durability("trailing field on a dvic line"));
+                    }
                 }
                 Some("solution") => {
                     solution_len = parse_num(t.next(), "solution byte count")?;
                     break;
                 }
-                _ => return Err(durability("unexpected line in journal section")),
+                _ => return Err(durability("unexpected line in dvic section")),
             }
         }
 
-        // --- solution + verbatim journal replay ---
+        // --- solution + charges from the recorded bytes ---
         let rest = lines.rest;
         if rest.len() < solution_len {
             return Err(durability("solution section truncated"));
@@ -475,12 +470,24 @@ impl<'a> RoutingSession<'a> {
         }
         let mut parsed = read_solution(grid.clone(), netlist, solution_text)
             .map_err(|e| durability(format!("embedded solution rejected: {e}")))?;
-        for (id, journal) in journals.into_iter().enumerate() {
-            let id = NetId(id as u32);
-            match parsed.take_route(id) {
-                Some(route) => session.state.restore_route(id, route, journal),
-                None if journal.is_empty() => {}
-                None => return Err(durability("cost journal for an unrouted net")),
+        for (i, masks) in masks.into_iter().enumerate() {
+            let id = NetId(i as u32);
+            match (parsed.take_route(id), masks) {
+                (None, None) => {}
+                (None, Some(_)) => {
+                    return Err(durability(format!("dvic masks for unrouted net {i}")));
+                }
+                (Some(_), None) if config.consider_dvi => {
+                    return Err(durability(format!("no dvic masks for routed net {i}")));
+                }
+                (Some(route), Some(m)) if m.len() != route.vias().len() => {
+                    return Err(durability(format!(
+                        "dvic digit count {} differs from the {} vias of net {i}",
+                        m.len(),
+                        route.vias().len()
+                    )));
+                }
+                (Some(route), masks) => session.state.restore_route(id, route, masks),
             }
         }
         session.state.enforce_blocked = enforce_blocked;
@@ -488,6 +495,11 @@ impl<'a> RoutingSession<'a> {
         session.start = Instant::now();
 
         simulated_replay_check(&session.state, &recorded, grid, netlist, &config)?;
+        if penalty_hash(&session.state) != recorded_penalty {
+            return Err(durability(
+                "replay mismatch: penalty maps charged from the dvic masks diverge from the recorded hash",
+            ));
+        }
         Ok(session)
     }
 }
@@ -594,6 +606,18 @@ fn parse_progress(
     Ok(p)
 }
 
+/// Parses one `dvic` line's digits: one hex digit (`0-9a-f`) per via.
+fn parse_masks(digits: &str) -> Result<Box<[u8]>, RouteError> {
+    digits
+        .bytes()
+        .map(|c| match c {
+            b'0'..=b'9' => Ok(c - b'0'),
+            b'a'..=b'f' => Ok(c - b'a' + 10),
+            _ => Err(durability("bad dvic digit")),
+        })
+        .collect()
+}
+
 /// Verifies header + trailing checksum; returns the body (everything
 /// before the checksum line, checksum excluded).
 fn verify_frame(text: &str) -> Result<&str, RouteError> {
@@ -658,8 +682,8 @@ fn parse_point(
     let x: i32 = parse_num(toks.next(), what)?;
     let y: i32 = parse_num(toks.next(), what)?;
     let p = GridPoint::new(layer, x, y);
-    // Via-layer points (journals, queues) use via-layer indices that
-    // are also valid metal indices; bounds-check coordinates only.
+    // Coordinates only: a caller that indexes a map checks the layer
+    // against that map.
     if x < 0 || y < 0 || x >= grid.width() || y >= grid.height() {
         return Err(durability(format!("{what}: point out of bounds")));
     }
@@ -693,9 +717,9 @@ fn parse_violation(
 /// Order-independent digest of a router state: exactly the
 /// quantities that must be identical between the process that wrote a
 /// checkpoint and any process that replays it, regardless of route
-/// install order. Penalty maps are excluded on purpose — their exact
-/// values depend on install order, which is why restore replays
-/// journals verbatim in the first place.
+/// install order. The penalty maps are hashed apart
+/// ([`penalty_hash`]): they depend on the feasibility each route saw
+/// at install, which a replay in net-id order does not reproduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StateDigest {
     congested: usize,
@@ -707,48 +731,89 @@ struct StateDigest {
     via_count: u64,
 }
 
+/// FNV-1a over 64-bit words: one xor and one multiply per integer,
+/// so the digest hashes fields without formatting them. Each step is
+/// a bijection of the running hash, so a change to any one field
+/// always changes the result.
+struct WordHash(u64);
+
+impl WordHash {
+    fn new() -> WordHash {
+        WordHash(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn push(&mut self, v: i64) {
+        self.0 = (self.0 ^ v as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    fn point(&mut self, p: GridPoint) {
+        self.push(i64::from(p.layer));
+        self.push(i64::from(p.x));
+        self.push(i64::from(p.y));
+    }
+}
+
 fn state_digest(state: &RouterState) -> StateDigest {
     let mut congested = state.congested_points();
     congested.sort_unstable();
-    let mut ctext = String::new();
-    for p in &congested {
-        ctext.push_str(&format!("{} {} {};", p.layer, p.x, p.y));
+    let mut ch = WordHash::new();
+    for &p in &congested {
+        ch.point(p);
     }
-    let mut conflict_text = String::new();
+    let mut conflicts = WordHash::new();
     for (p, &v) in state.conflict_count.iter() {
         if v != 0 {
-            conflict_text.push_str(&format!("{} {} {} {};", p.layer, p.x, p.y, v));
+            conflicts.point(p);
+            conflicts.push(v);
         }
     }
     let stats = state.solution.stats();
     StateDigest {
         congested: congested.len(),
-        congested_hash: fnv1a(ctext.as_bytes()),
+        congested_hash: ch.0,
         fvp_windows: (0..state.grid.via_layer_count())
             .map(|vl| state.fvp[vl as usize].fvp_window_count())
             .sum(),
         vias_tracked: (0..state.grid.via_layer_count())
             .map(|vl| state.fvp[vl as usize].via_count())
             .sum(),
-        conflict_hash: fnv1a(conflict_text.as_bytes()),
+        conflict_hash: conflicts.0,
         wirelength: stats.wirelength,
         via_count: stats.vias,
     }
 }
 
-fn parse_digest(line: &str) -> Result<StateDigest, RouteError> {
+/// One hash of both penalty maps, every cell in map order: a state
+/// restored from the `dvic` masks charges exactly the writer's
+/// penalties, so the two hashes agree.
+fn penalty_hash(state: &RouterState) -> u64 {
+    let mut h = WordHash::new();
+    for &v in state.wire_penalty.as_slice() {
+        h.push(v);
+    }
+    for &v in state.via_penalty.as_slice() {
+        h.push(v);
+    }
+    h.0
+}
+
+/// Parses the `audit` line: the state digest and the penalty hash.
+fn parse_audit(line: &str) -> Result<(StateDigest, u64), RouteError> {
     let mut t = line.split_whitespace();
     expect_key(&mut t, "audit")?;
+    let hex = |s: Option<&str>, what: &str| {
+        u64::from_str_radix(s.unwrap_or(""), 16)
+            .map_err(|_| durability(format!("bad audit {what}")))
+    };
     let congested = parse_num(t.next(), "audit congested")?;
-    let congested_hash = u64::from_str_radix(t.next().unwrap_or(""), 16)
-        .map_err(|_| durability("bad audit congested hash"))?;
+    let congested_hash = hex(t.next(), "congested hash")?;
     let fvp_windows = parse_num(t.next(), "audit fvp windows")?;
     let vias_tracked = parse_num(t.next(), "audit via count")?;
-    let conflict_hash = u64::from_str_radix(t.next().unwrap_or(""), 16)
-        .map_err(|_| durability("bad audit conflict hash"))?;
+    let conflict_hash = hex(t.next(), "conflict hash")?;
     let wirelength = parse_num(t.next(), "audit wirelength")?;
     let via_count = parse_num(t.next(), "audit vias")?;
-    Ok(StateDigest {
+    let penalty = hex(t.next(), "penalty hash")?;
+    let digest = StateDigest {
         congested,
         congested_hash,
         fvp_windows,
@@ -756,7 +821,8 @@ fn parse_digest(line: &str) -> Result<StateDigest, RouteError> {
         conflict_hash,
         wirelength,
         via_count,
-    })
+    };
+    Ok((digest, penalty))
 }
 
 /// The restore hard check — a **simulated replay**: every restored
@@ -767,8 +833,10 @@ fn parse_digest(line: &str) -> Result<StateDigest, RouteError> {
 /// to the live state the original process actually had: a snapshot
 /// whose solution was altered (even with a re-signed checksum) or
 /// whose auxiliary state drifted from its solution is rejected. The
-/// journal-replayed state itself must match too, pinning the
-/// restore path against the install path.
+/// mask-restored state itself must match too, pinning the restore
+/// path against the install path. The scratch state charges no DVI
+/// costs: the digest does not read the penalty maps, and its net-id
+/// install order would not reproduce the writer's anyway.
 fn simulated_replay_check(
     restored: &RouterState,
     recorded: &StateDigest,
@@ -781,7 +849,7 @@ fn simulated_replay_check(
         netlist,
         config.sadp,
         config.params,
-        config.consider_dvi,
+        false,
         config.consider_tpl,
     );
     for (id, _) in netlist.iter() {
@@ -796,7 +864,7 @@ fn simulated_replay_check(
     }
     if state_digest(restored) != *recorded {
         return Err(durability(
-            "replay mismatch: journal-replayed state diverges from the recorded state digest",
+            "replay mismatch: mask-restored state diverges from the recorded state digest",
         ));
     }
     Ok(())

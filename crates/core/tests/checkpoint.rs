@@ -9,7 +9,9 @@ use std::time::Duration;
 
 use benchgen::BenchSpec;
 use sadp_grid::{write_solution, Netlist, RouteError, RoutingGrid, SadpKind};
-use sadp_router::{RouteBudget, RouterConfig, RoutingOutcome, RoutingSession, Termination};
+use sadp_router::{
+    RouteBudget, RouterConfig, RoutingOutcome, RoutingSession, Termination, CHECKPOINT_HEADER,
+};
 use sadp_trace::{NoopObserver, RouteObserver};
 
 fn fingerprint(out: &RoutingOutcome) -> (String, [bool; 4], u64, u64) {
@@ -195,12 +197,18 @@ fn checkpoint_restores_under_another_thread_count() {
 
 fn mid_run_checkpoint() -> (RoutingGrid, Netlist, RouterConfig, String) {
     let (grid, netlist, config) = instance();
-    let mut session = RoutingSession::new(&grid, &netlist, config);
+    let text = sliced_checkpoint(&grid, &netlist, config);
+    (grid, netlist, config, text)
+}
+
+/// The checkpoint of a session of `config` stopped by a 5-iteration
+/// slice.
+fn sliced_checkpoint(grid: &RoutingGrid, netlist: &Netlist, config: RouterConfig) -> String {
+    let mut session = RoutingSession::new(grid, netlist, config);
     session.set_budget(RouteBudget::unlimited().with_max_phase_iters(5));
     step(&mut session, &mut NoopObserver);
     assert!(!session.converged(), "slice too large for this instance");
-    let text = session.checkpoint();
-    (grid, netlist, config, text)
+    session.checkpoint()
 }
 
 fn expect_durability(r: Result<RoutingSession<'_>, RouteError>, needle: &str) {
@@ -217,11 +225,14 @@ fn expect_durability(r: Result<RoutingSession<'_>, RouteError>, needle: &str) {
 #[test]
 fn version_mismatch_is_rejected_as_typed_error() {
     let (grid, netlist, config, text) = mid_run_checkpoint();
-    let bumped = text.replacen("sadp-checkpoint v1", "sadp-checkpoint v999", 1);
-    expect_durability(
-        RoutingSession::restore(&grid, &netlist, config, &bumped),
-        "version mismatch",
-    );
+    // A later version, and the cost-journal format of v1.
+    for other in ["sadp-checkpoint v999", "sadp-checkpoint v1"] {
+        let bumped = text.replacen(CHECKPOINT_HEADER, other, 1);
+        expect_durability(
+            RoutingSession::restore(&grid, &netlist, config, &bumped),
+            "version mismatch",
+        );
+    }
 }
 
 #[test]
@@ -257,12 +268,10 @@ fn binding_mismatch_is_rejected_as_typed_error() {
     );
 }
 
-#[test]
-fn simulated_replay_rejects_tampered_solution() {
-    let (grid, netlist, config, text) = mid_run_checkpoint();
-    // Re-frame a tampered body with a *valid* checksum: drop one via
-    // line from the embedded solution, shrink the byte count, and
-    // re-sign. Only the simulated-replay hard check can catch this.
+/// `text` with the first line of its embedded solution that starts
+/// with `prefix` dropped, the byte count shrunk to match, and the body
+/// re-signed with a *valid* checksum.
+fn drop_solution_line(text: &str, prefix: &str) -> String {
     let (body, _) = text.rsplit_once("checksum ").expect("framed");
     let marker = "\nsolution ";
     let at = body.rfind(marker).expect("solution section");
@@ -271,15 +280,103 @@ fn simulated_replay_rejects_tampered_solution() {
     let (len_line, sol) = tail.split_once('\n').expect("length line");
     let old_len: usize = len_line.trim().parse().expect("byte count");
     let sol = &sol[..old_len];
-    let via_at = sol.find("via ").expect("solution has a via");
-    let via_end = sol[via_at..].find('\n').expect("line end") + via_at + 1;
-    let tampered_sol = format!("{}{}", &sol[..via_at], &sol[via_end..]);
-    let mut tampered = format!("{head}{marker}{}\n{tampered_sol}", tampered_sol.len());
-    // Trim the leading '\n' duplication: head already ends without it.
-    tampered = tampered.replacen("\n\nsolution", "\nsolution", 1);
+    let line_at = sol.find(prefix).expect("solution has such a line");
+    let line_end = sol[line_at..].find('\n').expect("line end") + line_at + 1;
+    let tampered_sol = format!("{}{}", &sol[..line_at], &sol[line_end..]);
+    signed(&format!(
+        "{head}{marker}{}\n{tampered_sol}",
+        tampered_sol.len()
+    ))
+}
+
+#[test]
+fn simulated_replay_rejects_tampered_solution() {
+    let (grid, netlist, config, text) = mid_run_checkpoint();
+    // Drop one wire line: every `dvic` digit count still matches its
+    // route's vias, so only the simulated-replay hard check can catch
+    // this.
+    let tampered = drop_solution_line(&text, "wire ");
+    expect_durability(
+        RoutingSession::restore(&grid, &netlist, config, &tampered),
+        "replay mismatch: reinstalled solution",
+    );
+}
+
+/// A route that lost a via no longer has one `dvic` digit per via:
+/// restore refuses it before any replay.
+#[test]
+fn dvic_digit_count_differing_from_the_via_count_is_rejected() {
+    let (grid, netlist, config, text) = mid_run_checkpoint();
+    let tampered = drop_solution_line(&text, "via ");
+    expect_durability(
+        RoutingSession::restore(&grid, &netlist, config, &tampered),
+        "dvic digit count",
+    );
+}
+
+/// One `dvic` digit changed in a re-signed checkpoint charges other
+/// penalties than the writer's; the penalty hash of the audit line
+/// refuses it.
+#[test]
+fn changed_dvic_digit_is_rejected() {
+    let (grid, netlist, config, text) = mid_run_checkpoint();
+    let (body, _) = text.rsplit_once("checksum ").expect("framed");
+    // Clear the first non-zero digit: that via loses every candidate.
+    let mut changed = false;
+    let tampered: String = body
+        .split_inclusive('\n')
+        .map(|line| match line.strip_prefix("dvic ") {
+            Some(rest) if !changed => {
+                let (id, digits) = rest.trim_end().split_once(' ').expect("dvic fields");
+                let Some(i) = digits.find(|c| c != '0') else {
+                    return line.to_string();
+                };
+                changed = true;
+                format!("dvic {id} {}0{}\n", &digits[..i], &digits[i + 1..])
+            }
+            _ => line.to_string(),
+        })
+        .collect();
+    assert!(changed, "no via with a feasible candidate");
     expect_durability(
         RoutingSession::restore(&grid, &netlist, config, &signed(&tampered)),
-        "replay mismatch",
+        "penalty maps",
+    );
+    // The untouched body, re-signed, still restores.
+    assert!(RoutingSession::restore(&grid, &netlist, config, &signed(body)).is_ok());
+}
+
+/// `dvic` lines must name exactly the routed nets of a session that
+/// charges DVI costs.
+#[test]
+fn dvic_lines_must_match_the_charged_routes() {
+    let (grid, netlist, config, text) = mid_run_checkpoint();
+    let (body, _) = text.rsplit_once("checksum ").expect("framed");
+    let first = body.find("\ndvic ").expect("a charged route") + 1;
+    let first_end = body[first..].find('\n').expect("line end") + first + 1;
+    let missing = format!("{}{}", &body[..first], &body[first_end..]);
+    expect_durability(
+        RoutingSession::restore(&grid, &netlist, config, &signed(&missing)),
+        "no dvic masks for routed net",
+    );
+    let unrouted = (0..netlist.len())
+        .find(|id| !body.contains(&format!("\nroute {id}\n")))
+        .expect("a net still unrouted");
+    let extra = format!("{}dvic {unrouted} 0\n{}", &body[..first], &body[first..]);
+    expect_durability(
+        RoutingSession::restore(&grid, &netlist, config, &signed(&extra)),
+        "dvic masks for unrouted net",
+    );
+    // A session without DVI costs writes no `dvic` line and refuses one.
+    let tpl_only = RouterConfig::with_tpl(SadpKind::Sim);
+    let text = sliced_checkpoint(&grid, &netlist, tpl_only);
+    let (body, _) = text.rsplit_once("checksum ").expect("framed");
+    assert!(!body.contains("\ndvic "));
+    let at = body.find("\nsolution ").expect("solution section") + 1;
+    let injected = format!("{}dvic 0 0\n{}", &body[..at], &body[at..]);
+    expect_durability(
+        RoutingSession::restore(&grid, &netlist, tpl_only, &signed(&injected)),
+        "without DVI costs",
     );
 }
 

@@ -520,12 +520,8 @@ impl DviProblem {
 }
 
 /// Tests one direction for feasibility; returns the candidate (with
-/// `via_idx` left unset) when feasible.
-///
-/// Exposed for the router's cost-assignment scheme, which needs the
-/// feasible-DVIC set of every routed via incrementally. Occupancy
-/// queries go through the dense view and route-side queries through
-/// the route's precomputed arm masks (O(1) per probe).
+/// `via_idx` left unset) when feasible. The rules are
+/// [`dvic_feasible`]'s; this adds the stub metal to the answer.
 pub fn feasible_candidate(
     kind: SadpKind,
     view: &LayoutView,
@@ -534,16 +530,51 @@ pub fn feasible_candidate(
     via: Via,
     dir: Dir,
 ) -> Option<Candidate> {
+    if !dvic_feasible(kind, view, route, net, via, dir) {
+        return None;
+    }
+    let (dx, dy) = dir.step();
+    let (lx, ly) = (via.x + dx, via.y + dy);
+    let stubs = [via.below, via.below + 1]
+        .into_iter()
+        .map(|layer| GridPoint::new(layer, via.x, via.y))
+        .filter(|&p| !route.has_arm(p, dir))
+        .filter_map(|p| WireEdge::between(p, p.stepped(dir)))
+        .collect();
+    Some(Candidate {
+        via_idx: u32::MAX, // patched by the caller
+        dir,
+        loc: (lx, ly),
+        via_layer: via.below,
+        stubs,
+    })
+}
+
+/// Whether the candidate of `via` toward `dir` is feasible: the rules
+/// of the module docs, answered without building the candidate.
+///
+/// The router's cost assignment asks this for every via it installs
+/// (one bit per direction, see `RouterState`), and
+/// [`feasible_candidate`] for every via of a [`DviProblem`].
+/// Occupancy queries go through the dense view and route-side queries
+/// through the route's precomputed arm masks (O(1) per probe).
+pub fn dvic_feasible(
+    kind: SadpKind,
+    view: &LayoutView,
+    route: &RoutedNet,
+    net: NetId,
+    via: Via,
+    dir: Dir,
+) -> bool {
     let (dx, dy) = dir.step();
     let (lx, ly) = (via.x + dx, via.y + dy);
     if !view.grid().in_bounds_xy(lx, ly) {
-        return None;
+        return false;
     }
     // Rule 1: the via location must be free on this via layer.
     if view.via_at(via.below, lx, ly) {
-        return None;
+        return false;
     }
-    let mut stubs = Vec::new();
     for layer in [via.below, via.below + 1] {
         let p = GridPoint::new(layer, via.x, via.y);
         let s = GridPoint::new(layer, lx, ly);
@@ -552,7 +583,7 @@ pub fn feasible_candidate(
         }
         // Rule 2: the stub endpoint must not belong to another net.
         if view.occupied_by_other(s, net) {
-            return None;
+            return false;
         }
         // Rule 3a: turns at the via end. A pin-only layer has no SADP
         // turn rules in our model (pin pads are drawn, not routed).
@@ -563,7 +594,7 @@ pub fn feasible_candidate(
                     continue; // absent, or collinear: no turn
                 }
                 if !stub_turn_ok(kind, via.x, via.y, arm, dir) {
-                    return None;
+                    return false;
                 }
             }
             // Rule 3b: turns at the far end when it lands on own
@@ -575,20 +606,13 @@ pub fn feasible_candidate(
                         continue;
                     }
                     if !stub_turn_ok(kind, s.x, s.y, arm, dir.opposite()) {
-                        return None;
+                        return false;
                     }
                 }
             }
         }
-        stubs.push(WireEdge::between(p, s)?);
     }
-    Some(Candidate {
-        via_idx: u32::MAX, // patched by the caller
-        dir,
-        loc: (lx, ly),
-        via_layer: via.below,
-        stubs,
-    })
+    true
 }
 
 /// Sentinel for an empty [`LocIndex`] cell / chain end.

@@ -51,7 +51,7 @@ pub mod report;
 pub mod resilient;
 
 pub use candidates::{
-    feasible_candidate, Candidate, DviProblem, LayoutView, OwnerIter, ProblemVia,
+    dvic_feasible, feasible_candidate, Candidate, DviProblem, LayoutView, OwnerIter, ProblemVia,
 };
 pub use heuristic::{
     solve_heuristic, solve_heuristic_improved, solve_heuristic_observed, DviParams,

@@ -16,7 +16,7 @@ use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use sadp_grid::{RouteError, SadpKind};
-use sadp_router::{RouteBudget, RoutingSession};
+use sadp_router::{RouteBudget, RoutingSession, CHECKPOINT_HEADER};
 use sadp_service::wire::{self, Value};
 use sadp_service::{
     journal, Arm, DurabilityConfig, JobId, JobOutcome, JobSource, Journal, Priority, RouteRequest,
@@ -208,7 +208,8 @@ fn warm_start_resumes_from_checkpoint_and_rejection_falls_back_cold() {
     session.tpl_removal(&mut obs);
     session.ensure_colorable(&mut obs);
     assert!(!session.converged(), "instance too small to stop mid-run");
-    std::fs::write(dir.join("ckpt-1.txt"), session.checkpoint()).unwrap();
+    let checkpoint = session.checkpoint();
+    std::fs::write(dir.join("ckpt-1.txt"), &checkpoint).unwrap();
     drop(session);
 
     let (service, report) = Service::start_durable(cfg(1), DurabilityConfig::new(&dir)).unwrap();
@@ -224,29 +225,34 @@ fn warm_start_resumes_from_checkpoint_and_rejection_falls_back_cold() {
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
-    // A corrupt checkpoint is rejected with a cold-start fallback —
-    // same fingerprint, and the bad snapshot is deleted.
-    let dir = tmp("warm-reject");
-    {
-        let (mut j, _, _) = Journal::open(&dir).unwrap();
-        j.append_accept(JobId(1), &req).unwrap();
-    }
-    std::fs::write(dir.join("ckpt-1.txt"), "sadp-checkpoint v1\ngarbage\n").unwrap();
-    let (service, _) = Service::start_durable(cfg(1), DurabilityConfig::new(&dir)).unwrap();
-    let resp = service.wait(JobId(1)).unwrap();
-    match &resp.outcome {
-        JobOutcome::Completed { summary, report } => {
-            assert_eq!(report.note_value("warm_start"), Some("rejected"));
-            assert_eq!(summary.fingerprint, reference);
+    // A corrupt checkpoint, and the same snapshot under the v1
+    // header an older daemon wrote, are rejected with a cold-start
+    // fallback — same fingerprint, and the bad snapshot is deleted.
+    let garbage = format!("{CHECKPOINT_HEADER}\ngarbage\n");
+    let v1 = checkpoint.replacen(CHECKPOINT_HEADER, "sadp-checkpoint v1", 1);
+    for (tag, text) in [("warm-reject", garbage), ("warm-v1", v1)] {
+        let dir = tmp(tag);
+        {
+            let (mut j, _, _) = Journal::open(&dir).unwrap();
+            j.append_accept(JobId(1), &req).unwrap();
         }
-        other => panic!("expected completion, got {}", other.name()),
+        std::fs::write(dir.join("ckpt-1.txt"), text).unwrap();
+        let (service, _) = Service::start_durable(cfg(1), DurabilityConfig::new(&dir)).unwrap();
+        let resp = service.wait(JobId(1)).unwrap();
+        match &resp.outcome {
+            JobOutcome::Completed { summary, report } => {
+                assert_eq!(report.note_value("warm_start"), Some("rejected"), "{tag}");
+                assert_eq!(summary.fingerprint, reference, "{tag}");
+            }
+            other => panic!("{tag}: expected completion, got {}", other.name()),
+        }
+        assert!(
+            !dir.join("ckpt-1.txt").exists(),
+            "{tag}: rejected checkpoint is deleted"
+        );
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert!(
-        !dir.join("ckpt-1.txt").exists(),
-        "rejected checkpoint is deleted"
-    );
-    service.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A seed past 2^53 has no exact f64. The journal must hand the same
