@@ -11,7 +11,8 @@ use crate::state::RouterState;
 /// The combined audit of a finished routing solution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FullAudit {
-    /// Nets whose pins are not all connected.
+    /// Nets whose pins are not all connected, a net without a route
+    /// included (every net has at least two pins).
     pub disconnected: usize,
     /// Metal points shared by more than one net.
     pub shorts: usize,
@@ -44,27 +45,26 @@ impl FullAudit {
 /// [`RoutingSolution`], so it also validates hand-built or mutated
 /// solutions in tests and examples.
 pub fn full_audit(kind: SadpKind, solution: &RoutingSolution, netlist: &Netlist) -> FullAudit {
-    let disconnected = solution.connectivity_errors(netlist).len();
+    let unrouted = netlist
+        .iter()
+        .filter(|&(id, _)| solution.route(id).is_none())
+        .count();
+    let disconnected = unrouted + solution.connectivity_errors(netlist).len();
     let shorts = solution.shorts().len();
     let sadp = audit_solution(kind, solution);
 
     let grid = solution.grid();
-    // Via layers are independent — FVP scan and greedy coloring fan
-    // out per layer on the execution pool.
-    let per_layer = sadp_exec::map_indexed(grid.via_layer_count() as usize, |vl| {
-        let vias = solution.vias_on_layer(vl as u8);
+    let (mut fvp_windows, mut greedy_uncolored) = (0, 0);
+    for vl in 0..grid.via_layer_count() {
+        let vias = solution.vias_on_layer(vl);
         let mut idx = FvpIndex::new(grid.width().max(3), grid.height().max(3));
         for (_, v) in &vias {
             idx.add_via(v.x, v.y);
         }
         let graph = DecompGraph::from_positions(vias.iter().map(|(_, v)| (v.x, v.y)));
-        (
-            idx.fvp_window_count(),
-            welsh_powell(&graph, 3).uncolored_count(),
-        )
-    });
-    let fvp_windows = per_layer.iter().map(|&(w, _)| w).sum();
-    let greedy_uncolored = per_layer.iter().map(|&(_, u)| u).sum();
+        fvp_windows += idx.fvp_window_count();
+        greedy_uncolored += welsh_powell(&graph, 3).uncolored_count();
+    }
 
     FullAudit {
         disconnected,
@@ -124,24 +124,15 @@ pub fn mask_audit(
     solution: &RoutingSolution,
 ) -> Result<usize, (u8, sadp_decomp::DecomposeError)> {
     let grid = solution.grid();
-    // Each routing layer decomposes independently; merge in layer
-    // order so the first error reported matches the serial scan.
-    let per_layer = sadp_exec::map_indexed(grid.layer_count() as usize, |layer| {
-        let layer = layer as u8;
-        if !grid.is_routing_layer(layer) {
-            return Ok(0);
-        }
+    let mut violations = 0usize;
+    for layer in (0..grid.layer_count()).filter(|&l| grid.is_routing_layer(l)) {
         let edges: Vec<WireEdge> = solution
             .iter()
             .flat_map(|(_, r)| r.edges().iter().copied())
             .filter(|e| e.layer == layer)
             .collect();
         let masks = decompose_layer(kind, &edges).map_err(|e| (layer, e))?;
-        Ok(check_mask_set(&masks, &DrcRules::default(), kind).len())
-    });
-    let mut violations = 0usize;
-    for res in per_layer {
-        violations += res?;
+        violations += check_mask_set(&masks, &DrcRules::default(), kind).len();
     }
     Ok(violations)
 }
@@ -149,19 +140,17 @@ pub fn mask_audit(
 /// Greedy colorability of every via layer of a router state (used by
 /// report-only arms).
 pub(crate) fn via_layers_colorable(state: &RouterState) -> bool {
-    sadp_exec::map_indexed(state.grid.via_layer_count() as usize, |vl| {
-        let graph = DecompGraph::from_positions(state.fvp[vl].vias());
+    state.fvp.iter().all(|idx| {
+        let graph = DecompGraph::from_positions(idx.vias());
         welsh_powell(&graph, 3).is_complete()
     })
-    .into_iter()
-    .all(|ok| ok)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flow::{Router, RouterConfig};
-    use sadp_grid::{Net, Netlist, Pin, RoutingGrid};
+    use sadp_grid::{Net, NetId, Netlist, Pin, RoutingGrid};
 
     #[test]
     fn audit_of_full_flow_is_clean() {
@@ -206,9 +195,30 @@ mod tests {
         nl.push(Net::new("a", vec![Pin::new(0, 0), Pin::new(3, 3)]));
         let sol = RoutingSolution::new(RoutingGrid::three_layer(8, 8), &nl);
         let audit = full_audit(SadpKind::Sim, &sol, &nl);
-        // No routes at all: nothing to audit but also nothing broken
-        // except... no routed nets means no connectivity entries.
-        assert_eq!(audit.disconnected, 0);
+        // A net without a route leaves its pins unconnected.
+        assert_eq!(audit.disconnected, 1);
         assert_eq!(audit.shorts, 0);
+        assert!(!audit.is_clean());
+    }
+
+    #[test]
+    fn audit_flags_a_removed_route_as_disconnected() {
+        let mut nl = Netlist::new();
+        nl.push(Net::new("a", vec![Pin::new(4, 4), Pin::new(14, 4)]));
+        nl.push(Net::new("b", vec![Pin::new(4, 10), Pin::new(14, 14)]));
+        let out = Router::new(
+            RoutingGrid::three_layer(20, 20),
+            nl.clone(),
+            RouterConfig::full(SadpKind::Sim),
+        )
+        .try_run(&mut sadp_trace::NoopObserver)
+        .expect("full flow");
+        assert!(out.routed_all);
+        assert!(full_audit(SadpKind::Sim, &out.solution, &nl).is_clean());
+        let mut partial = out.solution.clone();
+        partial.take_route(NetId(1)).expect("net b is routed");
+        let audit = full_audit(SadpKind::Sim, &partial, &nl);
+        assert_eq!(audit.disconnected, 1, "{audit:?}");
+        assert!(!audit.is_clean());
     }
 }

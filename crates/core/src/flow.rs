@@ -21,8 +21,13 @@
 //! [`RoutingSession::try_finish`] and [`Router::try_run`] are the only
 //! ways to finish a run. They return structured [`RouteError`]s
 //! instead of panicking: invalid inputs are rejected up front, and a
-//! panic anywhere in the flow (including worker tasks of the coloring
-//! fan-out) is contained and reported as [`RouteError::TaskPanicked`].
+//! panic in any phase they run is contained and reported as
+//! [`RouteError::TaskPanicked`].
+//!
+//! A session runs on its caller's thread, one phase after another, as
+//! the paper's flow is one serial schedule. A panic in a phase method
+//! called directly (`initial_route`, `negotiate`, …) unwinds to that
+//! caller.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -45,6 +50,10 @@ use crate::state::{PinIndex, RouterState};
 /// activation (used by the chaos tests to force deadline exhaustion).
 const FAILPOINT_SLOW_PHASE: &str = "core.slow_phase";
 
+/// Failpoint name for an injected panic at the start of every phase
+/// activation (used by the chaos tests to prove panics are contained).
+const FAILPOINT_PHASE_PANIC: &str = "core.phase_panic";
+
 /// Upper bound accepted for explicit R&R iteration caps (an explicit
 /// cap above this is almost certainly a unit mistake).
 pub const MAX_ITER_CAP: usize = 50_000_000;
@@ -57,11 +66,8 @@ pub const MAX_COLORING_ATTEMPTS: usize = 10_000;
 /// `consider_tpl`.
 ///
 /// This value is the whole configuration of a run: a session never
-/// reads the environment. The only execution setting outside it is the
-/// pool width, which `sadp-exec` takes from `sadp_exec::with_threads`
-/// or `SADP_EXEC_THREADS`. It sizes the per-via-layer fan-outs of the
-/// coloring check and the audits and never changes the output; the
-/// rip-up-and-reroute loops themselves always run serially.
+/// reads the environment, and it runs every phase on its caller's
+/// thread, so no execution setting outside it can change the output.
 ///
 /// Construct validated configurations with [`RouterConfig::builder`];
 /// the four arm shorthands ([`RouterConfig::baseline`],
@@ -346,6 +352,14 @@ impl RoutingOutcome {
     }
 }
 
+/// The chaos failpoints hit at the start of every phase activation
+/// (see the `faultinject` crate): an injected delay, then an injected
+/// panic.
+fn phase_failpoints() {
+    faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
+    faultinject::maybe_panic(FAILPOINT_PHASE_PANIC);
+}
+
 /// Extracts a printable message from a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -466,9 +480,6 @@ pub struct RoutingSession<'a> {
     pub(crate) start: Instant,
     pub(crate) budget: ActiveBudget,
     pub(crate) progress: Progress,
-    /// A contained worker panic, surfaced by
-    /// [`RoutingSession::try_finish`].
-    pub(crate) fault: Option<RouteError>,
 }
 
 impl<'a> RoutingSession<'a> {
@@ -491,7 +502,6 @@ impl<'a> RoutingSession<'a> {
             start: Instant::now(),
             budget: ActiveBudget::unlimited(),
             progress: Progress::default(),
-            fault: None,
         }
     }
 
@@ -515,7 +525,6 @@ impl<'a> RoutingSession<'a> {
             RoutingSession::new(grid, netlist, config)
         }))
         .map_err(|p| RouteError::TaskPanicked {
-            task: 0,
             message: panic_message(p.as_ref()),
         })
     }
@@ -636,7 +645,7 @@ impl<'a> RoutingSession<'a> {
     fn run_initial(&mut self, obs: &mut impl RouteObserver) {
         let limits = self.budget.limits(usize::MAX);
         obs.phase_start(Phase::InitialRouting);
-        faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
+        phase_failpoints();
         let p = &mut self.progress;
         let t = initial_routing(
             &mut self.state,
@@ -676,7 +685,7 @@ impl<'a> RoutingSession<'a> {
         // Not done, so `rotation < cap`.
         let limits = self.budget.limits(cap - rnr.work.rotation);
         obs.phase_start(phase);
-        faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
+        phase_failpoints();
         let (clean, stats) = rip_up_and_reroute::<FVPS>(
             &mut self.state,
             self.netlist,
@@ -693,11 +702,11 @@ impl<'a> RoutingSession<'a> {
 
     fn run_coloring(&mut self, obs: &mut impl RouteObserver) {
         obs.phase_start(Phase::ColoringFix);
-        faultinject::maybe_delay(FAILPOINT_SLOW_PHASE);
+        phase_failpoints();
         let p = &mut self.progress;
         if self.config.consider_tpl {
             let limits = self.budget.limits(usize::MAX);
-            match ensure_colorable(
+            let (colorable, t) = ensure_colorable(
                 &mut self.state,
                 self.netlist,
                 self.config.coloring_attempts,
@@ -705,24 +714,11 @@ impl<'a> RoutingSession<'a> {
                 &mut p.coloring_attempts_done,
                 &mut self.scratch,
                 obs,
-            ) {
-                Ok((colorable, t)) => {
-                    if t.is_converged() {
-                        p.colorable = Some(colorable);
-                    }
-                    p.coloring_term = Some(t);
-                }
-                Err(e) => {
-                    // Contain the worker panic: record the fault for
-                    // `try_finish`, report the phase not verified.
-                    self.fault = Some(RouteError::TaskPanicked {
-                        task: e.task,
-                        message: e.message,
-                    });
-                    p.colorable = Some(false);
-                    p.coloring_term = Some(Termination::Converged);
-                }
+            );
+            if t.is_converged() {
+                p.colorable = Some(colorable);
             }
+            p.coloring_term = Some(t);
         } else {
             // Report-only: check colorability without fixing.
             p.colorable = Some(crate::audit::via_layers_colorable(&self.state));
@@ -782,26 +778,17 @@ impl<'a> RoutingSession<'a> {
     ///
     /// # Errors
     ///
-    /// [`RouteError::TaskPanicked`] when a worker task of the coloring
-    /// fan-out panicked (recorded by an earlier stage or while
-    /// finishing), or when any phase panicked while finishing.
+    /// [`RouteError::TaskPanicked`] when a phase it runs, or the final
+    /// audit, panicked.
     pub fn try_finish(self, obs: &mut impl RouteObserver) -> Result<RoutingOutcome, RouteError> {
-        if let Some(f) = &self.fault {
-            return Err(f.clone());
-        }
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let mut session = self;
             session.advance(Stage::Coloring, obs);
-            (session.fault.take(), session.into_outcome(obs))
-        }));
-        match run {
-            Ok((Some(fault), _)) => Err(fault),
-            Ok((None, outcome)) => Ok(outcome),
-            Err(p) => Err(RouteError::TaskPanicked {
-                task: 0,
-                message: panic_message(p.as_ref()),
-            }),
-        }
+            session.into_outcome(obs)
+        }))
+        .map_err(|p| RouteError::TaskPanicked {
+            message: panic_message(p.as_ref()),
+        })
     }
 
     fn into_outcome(self, obs: &mut impl RouteObserver) -> RoutingOutcome {
@@ -872,17 +859,13 @@ impl<'a> RoutingSession<'a> {
     ///
     /// [`RouteError::InvalidNetlist`] / [`RouteError::InvalidGrid`]
     /// when the delta fails validation or `edited` is not the base
-    /// netlist plus the delta; the recorded fault when the session
-    /// already failed. On error the session is unchanged.
+    /// netlist plus the delta. On error the session is unchanged.
     pub fn apply_delta(
         &mut self,
         edited: &'a Netlist,
         delta: &LayoutDelta,
         obs: &mut impl RouteObserver,
     ) -> Result<(), RouteError> {
-        if let Some(f) = &self.fault {
-            return Err(f.clone());
-        }
         // `apply` checks each op against the netlist as edited so far,
         // rebuilding every pad-moved net with `Net::try_new`; base +
         // delta must then be exactly `edited`, whose ids the analysis

@@ -404,8 +404,7 @@ pub(crate) fn rip_up_and_reroute<const FVPS: bool>(
 /// attempt count is spent once per session, not per activation. The
 /// budget is checked between attempts; exhausting it returns a
 /// non-converged [`Termination`] so a later activation continues with
-/// the remaining attempts. A worker panic in the per-layer coloring
-/// fan-out is contained and returned as [`sadp_exec::TaskPanicked`].
+/// the remaining attempts.
 pub(crate) fn ensure_colorable(
     state: &mut RouterState,
     netlist: &Netlist,
@@ -414,62 +413,54 @@ pub(crate) fn ensure_colorable(
     attempts_done: &mut usize,
     scratch: &mut SearchScratch,
     obs: &mut impl RouteObserver,
-) -> Result<(bool, Termination), sadp_exec::TaskPanicked> {
+) -> (bool, Termination) {
     const PHASE: Phase = Phase::ColoringFix;
     let total = max_attempts.max(1);
     let mut attempts_here = 0usize;
     while *attempts_done < total {
         if let Some(t) = limits.stop_reason(attempts_here, scratch.expanded) {
             obs.counter(PHASE, Counter::BudgetStops, 1);
-            return Ok((false, t));
+            return (false, t);
         }
         *attempts_done += 1;
         attempts_here += 1;
         obs.counter(PHASE, Counter::ColoringAttempts, 1);
-        // Each via layer's coloring check is independent and read-only
-        // on the state: fan out per layer and flatten in layer order
-        // (vertices sorted within a layer) so the rip-up order is the
-        // same for any thread count.
-        let state_ref: &RouterState = state;
-        let per_layer =
-            sadp_exec::try_map_indexed(state_ref.grid.via_layer_count() as usize, |vl| {
-                let positions: Vec<(i32, i32)> = state_ref.fvp[vl].vias().collect();
-                let graph = DecompGraph::from_positions(positions.iter().copied());
-                let greedy = welsh_powell(&graph, 3);
-                if greedy.is_complete() {
-                    return Vec::new();
+        // Uncolorable vias in layer order, sorted by vertex within a
+        // layer, so the rip-up order is a function of the state.
+        let mut bad_vias: Vec<Via> = Vec::new();
+        for vl in 0..state.grid.via_layer_count() {
+            let graph = DecompGraph::from_positions(state.fvp[vl as usize].vias());
+            let greedy = welsh_powell(&graph, 3);
+            if greedy.is_complete() {
+                continue;
+            }
+            // Greedy can fail on colorable graphs: verify exactly on
+            // the components that contain uncolored vertices.
+            let mut uncol: HashSet<u32> = greedy.uncolorable.iter().copied().collect();
+            for comp in graph.components() {
+                if !comp.iter().any(|v| uncol.contains(v)) {
+                    continue;
                 }
-                // Greedy can fail on colorable graphs: verify exactly on
-                // the components that contain uncolored vertices.
-                let mut uncol: HashSet<u32> = greedy.uncolorable.iter().copied().collect();
-                for comp in graph.components() {
-                    if !comp.iter().any(|v| uncol.contains(v)) {
-                        continue;
-                    }
-                    if comp.len() <= 30 {
-                        let sub = DecompGraph::from_positions(
-                            comp.iter().map(|&v| graph.position(v as usize)),
-                        );
-                        if exact_color(&sub, 3).is_some() {
-                            for v in &comp {
-                                uncol.remove(v);
-                            }
+                if comp.len() <= 30 {
+                    let sub = DecompGraph::from_positions(
+                        comp.iter().map(|&v| graph.position(v as usize)),
+                    );
+                    if exact_color(&sub, 3).is_some() {
+                        for v in &comp {
+                            uncol.remove(v);
                         }
                     }
                 }
-                let mut uncol: Vec<u32> = uncol.into_iter().collect();
-                uncol.sort_unstable();
-                uncol
-                    .into_iter()
-                    .map(|v| {
-                        let (x, y) = graph.position(v as usize);
-                        Via::new(vl as u8, x, y)
-                    })
-                    .collect()
-            })?;
-        let bad_vias: Vec<Via> = per_layer.into_iter().flatten().collect();
+            }
+            let mut uncol: Vec<u32> = uncol.into_iter().collect();
+            uncol.sort_unstable();
+            bad_vias.extend(uncol.into_iter().map(|v| {
+                let (x, y) = graph.position(v as usize);
+                Via::new(vl, x, y)
+            }));
+        }
         if bad_vias.is_empty() {
-            return Ok((true, Termination::Converged));
+            return (true, Termination::Converged);
         }
         obs.counter(PHASE, Counter::UncolorableVias, bad_vias.len() as i64);
         // Rip the owners of truly-uncolorable vias and retry.
@@ -488,7 +479,7 @@ pub(crate) fn ensure_colorable(
             }
         }
         if victims.is_empty() {
-            return Ok((false, Termination::Converged)); // only pin vias: cannot fix
+            return (false, Termination::Converged); // only pin vias: cannot fix
         }
         for v in victims {
             obs.counter(PHASE, Counter::Iterations, 1);
@@ -499,7 +490,7 @@ pub(crate) fn ensure_colorable(
             }
         }
     }
-    Ok((false, Termination::Converged))
+    (false, Termination::Converged)
 }
 
 #[cfg(test)]
@@ -753,8 +744,7 @@ mod tests {
             &mut 0,
             &mut scratch,
             &mut NoopObserver,
-        )
-        .expect("no worker panic");
+        );
         assert!(colorable);
     }
 

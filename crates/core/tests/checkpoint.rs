@@ -170,31 +170,6 @@ fn deadline_stopped_session_checkpoints_and_resumes() {
     assert_eq!(fingerprint(&out), fingerprint(&clean));
 }
 
-/// The pool width is not part of a checkpoint: a snapshot taken on two
-/// threads restores on one thread and finishes to the uninterrupted
-/// fingerprint.
-#[test]
-fn checkpoint_restores_under_another_thread_count() {
-    let (grid, netlist, config) = instance();
-    let uninterrupted = RoutingSession::new(&grid, &netlist, config)
-        .try_finish(&mut NoopObserver)
-        .expect("routing flow");
-    let text = sadp_exec::with_threads(2, || {
-        let mut session = RoutingSession::new(&grid, &netlist, config);
-        session.set_budget(RouteBudget::unlimited().with_max_phase_iters(5));
-        step(&mut session, &mut NoopObserver);
-        assert!(!session.converged(), "slice too large for this instance");
-        session.checkpoint()
-    });
-    let restored = sadp_exec::with_threads(1, || {
-        let mut session =
-            RoutingSession::restore(&grid, &netlist, config, &text).expect("restores");
-        session.set_budget(RouteBudget::unlimited());
-        session.try_finish(&mut NoopObserver).expect("routing flow")
-    });
-    assert_eq!(fingerprint(&restored), fingerprint(&uninterrupted));
-}
-
 fn mid_run_checkpoint() -> (RoutingGrid, Netlist, RouterConfig, String) {
     let (grid, netlist, config) = instance();
     let text = sliced_checkpoint(&grid, &netlist, config);

@@ -394,42 +394,27 @@ impl DviProblem {
     /// Extracts the DVI problem from a routing solution: enumerates
     /// all single vias, their feasible DVICs, and candidate conflicts.
     ///
-    /// Feasibility testing — the dominant cost — fans out per net on
-    /// the [`sadp_exec`] pool against the shared read-only
-    /// [`LayoutView`]; the per-net results are merged in net order
-    /// with sequentially assigned indices, so the built problem is
-    /// identical for any thread count.
+    /// Vias are numbered in net order, then in each route's via order,
+    /// and candidates in via order, then in [`Dir::PLANAR`] order;
+    /// feasibility is tested against one read-only [`LayoutView`] of
+    /// the whole solution.
     pub fn build(kind: SadpKind, solution: &RoutingSolution) -> DviProblem {
         let view = LayoutView::from_solution(solution);
-        let routes: Vec<(NetId, &RoutedNet)> = solution.iter().collect();
-        let per_net: Vec<Vec<(Via, Vec<Candidate>)>> = sadp_exec::map(&routes, |&(net, route)| {
-            route
-                .vias()
-                .iter()
-                .map(|&via| {
-                    let cands: Vec<Candidate> = Dir::PLANAR
-                        .iter()
-                        .filter_map(|&dir| feasible_candidate(kind, &view, route, net, via, dir))
-                        .collect();
-                    (via, cands)
-                })
-                .collect()
-        });
         let mut vias = Vec::new();
         let mut candidates: Vec<Candidate> = Vec::new();
-        for (&(net, _), net_vias) in routes.iter().zip(per_net) {
-            for (via, cands) in net_vias {
+        for (net, route) in solution.iter() {
+            for &via in route.vias() {
+                let via_idx = vias.len() as u32;
                 let mut pv = ProblemVia {
                     via,
                     net,
                     candidates: Vec::new(),
                 };
-                for cand in cands {
-                    pv.candidates.push(candidates.len() as u32);
-                    candidates.push(Candidate {
-                        via_idx: vias.len() as u32,
-                        ..cand
-                    });
+                for dir in Dir::PLANAR {
+                    if let Some(cand) = feasible_candidate(kind, &view, route, net, via, dir) {
+                        pv.candidates.push(candidates.len() as u32);
+                        candidates.push(Candidate { via_idx, ..cand });
+                    }
                 }
                 vias.push(pv);
             }

@@ -69,16 +69,15 @@ impl<'p> HeurState<'p> {
     fn new(problem: &'p DviProblem, params: DviParams) -> HeurState<'p> {
         let w = problem.grid_width().max(3);
         let h = problem.grid_height().max(3);
-        // Per-via-layer FVP index construction fans out on the
-        // execution pool (one independent index per layer).
-        let layers: Vec<u8> = (0..problem.via_layer_bound()).collect();
-        let fvp = sadp_exec::map(&layers, |&layer| {
-            let mut idx = FvpIndex::new(w, h);
-            for (x, y) in problem.existing_on_layer(layer) {
-                idx.add_via(x, y);
-            }
-            idx
-        });
+        let fvp = (0..problem.via_layer_bound())
+            .map(|layer| {
+                let mut idx = FvpIndex::new(w, h);
+                for (x, y) in problem.existing_on_layer(layer) {
+                    idx.add_via(x, y);
+                }
+                idx
+            })
+            .collect();
         let mut conflict_adj = vec![Vec::new(); problem.candidates().len()];
         for &(a, b) in problem.conflicts() {
             conflict_adj[a as usize].push(b);
@@ -175,15 +174,14 @@ impl<'p> HeurState<'p> {
     }
 }
 
-/// Pre-colors the existing vias per via layer with Welsh–Powell.
-/// Layers are independent decomposition graphs, so the coloring fans
-/// out per layer and merges in layer order (deterministic for any
-/// thread count). Vias of different nets at one position share that
-/// position's vertex, and so its color.
+/// Pre-colors the existing vias per via layer with Welsh–Powell, one
+/// independent decomposition graph per layer. Vias of different nets
+/// at one position share that position's vertex, and so its color.
 fn precolor(problem: &DviProblem) -> (Vec<Option<u8>>, usize) {
-    let layers = problem.via_layers();
     let pos = |i: usize| (problem.vias()[i].via.x, problem.vias()[i].via.y);
-    let per_layer: Vec<(Vec<usize>, Vec<Option<u8>>)> = sadp_exec::map(&layers, |&layer| {
+    let mut colors: Vec<Option<u8>> = vec![None; problem.via_count()];
+    let mut uncolorable = 0usize;
+    for layer in problem.via_layers() {
         let idxs: Vec<usize> = problem
             .vias()
             .iter()
@@ -193,16 +191,8 @@ fn precolor(problem: &DviProblem) -> (Vec<Option<u8>>, usize) {
             .collect();
         let graph = DecompGraph::from_positions(idxs.iter().map(|&i| pos(i)));
         let out = welsh_powell(&graph, 3);
-        let colors = idxs
-            .iter()
-            .map(|&i| graph.vertex_at(pos(i)).and_then(|v| out.colors[v as usize]))
-            .collect();
-        (idxs, colors)
-    });
-    let mut colors: Vec<Option<u8>> = vec![None; problem.via_count()];
-    let mut uncolorable = 0usize;
-    for (idxs, layer_colors) in per_layer {
-        for (&i, &col) in idxs.iter().zip(&layer_colors) {
+        for i in idxs {
+            let col = graph.vertex_at(pos(i)).and_then(|v| out.colors[v as usize]);
             colors[i] = col;
             uncolorable += usize::from(col.is_none());
         }

@@ -1,11 +1,12 @@
 //! # sadp-exec
 //!
-//! A small, dependency-free execution layer for the embarrassingly
-//! parallel parts of the system: the circuit × arm × SADP experiment
-//! matrix, per-via-layer index construction, coloring checks and
-//! audits, and per-net DVI candidate generation. The rip-up-and-reroute
-//! loops inside one routing instance are not among them: each reroute
-//! reads the costs the previous one wrote, so they run serially.
+//! A small, dependency-free execution layer for work *across* routing
+//! instances: the circuit × arm experiment matrix and the table and
+//! bench binaries, which run one independent routing flow per task.
+//! It also supplies the service's default worker count
+//! ([`thread_count`]). Nothing inside one routing session uses it: a
+//! session runs every phase, its coloring checks, DVI build and audits
+//! on its caller's thread.
 //!
 //! The pool is a hand-rolled scoped-thread work-stealing scheduler
 //! (the workspace is offline, so no `rayon`/`crossbeam`): the task
@@ -28,67 +29,22 @@
 //! a scoped [`with_threads`] override (used by benches and tests), the
 //! `SADP_EXEC_THREADS` environment variable, then
 //! `std::thread::available_parallelism()`. A width of 1 short-circuits
-//! to a serial inline loop that spawns no threads at all — the
-//! fallback path CI pins with `SADP_EXEC_THREADS=1`. Calls nested
-//! inside a pool worker also run inline, so fan-out inside fan-out
-//! (e.g. per-net DVI candidate generation inside an experiment-matrix
-//! task) cannot oversubscribe the machine.
+//! to a serial inline loop that spawns no threads at all.
 
 #![warn(missing_docs)]
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 /// The environment variable overriding the pool width
 /// (`1` = serial inline execution; unset/invalid = machine default).
 pub const THREADS_ENV: &str = "SADP_EXEC_THREADS";
 
-/// The fault-injection failpoint hit once per pool task (see the
-/// `faultinject` crate): when armed, the task panics. [`map_indexed`] /
-/// [`map`] propagate that panic; [`try_map_indexed`] / [`try_map`]
-/// contain it as a [`TaskPanicked`] error.
-pub const FAILPOINT_TASK_PANIC: &str = "exec.task_panic";
-
-/// A worker task panicked inside [`try_map_indexed`] / [`try_map`].
-///
-/// Carries the lowest panicking task index and the panic payload
-/// rendered to a string (`&str` / `String` payloads verbatim,
-/// anything else as a placeholder).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskPanicked {
-    /// The lowest task index whose closure panicked.
-    pub task: usize,
-    /// The panic message.
-    pub message: String,
-}
-
-impl std::fmt::Display for TaskPanicked {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task {} panicked: {}", self.task, self.message)
-    }
-}
-
-impl std::error::Error for TaskPanicked {}
-
-/// Renders a caught panic payload to a human-readable string.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 thread_local! {
     /// Scoped override installed by [`with_threads`].
     static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Set inside pool workers: nested maps run inline.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// The pool width the next [`map`] / [`map_indexed`] call on this
@@ -141,12 +97,6 @@ fn push_threads(threads: usize) -> ThreadsGuard {
     }
 }
 
-/// `true` when called from inside a pool worker (nested maps run
-/// inline rather than spawning a second pool).
-pub fn in_worker() -> bool {
-    IN_WORKER.with(Cell::get)
-}
-
 /// Applies `f` to every index in `0..tasks` and returns the results in
 /// index order — byte-identical to `(0..tasks).map(f).collect()` for
 /// any thread count (see the crate docs for the determinism rule).
@@ -157,15 +107,11 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let g = |i: usize| {
-        faultinject::maybe_panic(FAILPOINT_TASK_PANIC);
-        f(i)
-    };
     let threads = thread_count().min(tasks);
-    if threads <= 1 || in_worker() {
-        return (0..tasks).map(g).collect();
+    if threads <= 1 {
+        return (0..tasks).map(f).collect();
     }
-    run_pool(tasks, threads, &g)
+    run_pool(tasks, threads, &f)
 }
 
 /// Applies `f` to every element of `items`, returning results in item
@@ -177,52 +123,6 @@ where
     F: Fn(&T) -> R + Sync,
 {
     map_indexed(items.len(), |i| f(&items[i]))
-}
-
-/// Panic-containing variant of [`map_indexed`]: each task runs under
-/// `catch_unwind`, and a panicking task yields
-/// `Err(`[`TaskPanicked`]`)` for the *lowest* panicking index instead
-/// of unwinding through the caller. All other tasks still run to
-/// completion (the pool never cancels), so the wall clock matches the
-/// panic-free run.
-///
-/// `f` must leave any shared state it touches consistent on panic
-/// (tasks here are pure index→value functions, per the determinism
-/// rule, so this holds trivially for intended uses).
-pub fn try_map_indexed<R, F>(tasks: usize, f: F) -> Result<Vec<R>, TaskPanicked>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let g = |i: usize| -> Result<R, TaskPanicked> {
-        catch_unwind(AssertUnwindSafe(|| {
-            faultinject::maybe_panic(FAILPOINT_TASK_PANIC);
-            f(i)
-        }))
-        .map_err(|payload| TaskPanicked {
-            task: i,
-            message: panic_message(payload.as_ref()),
-        })
-    };
-    let threads = thread_count().min(tasks);
-    let results: Vec<Result<R, TaskPanicked>> = if threads <= 1 || in_worker() {
-        (0..tasks).map(g).collect()
-    } else {
-        run_pool(tasks, threads, &g)
-    };
-    // Results are already in task-index order, so `collect` surfaces
-    // the lowest panicking index deterministically.
-    results.into_iter().collect()
-}
-
-/// Slice-convenience form of [`try_map_indexed`].
-pub fn try_map<T, R, F>(items: &[T], f: F) -> Result<Vec<R>, TaskPanicked>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    try_map_indexed(items.len(), |i| f(&items[i]))
 }
 
 /// The parallel path: chunked per-worker deques with ring-order
@@ -256,7 +156,6 @@ where
                 let deques = &deques;
                 let results = &results;
                 scope.spawn(move || {
-                    IN_WORKER.with(|c| c.set(true));
                     let mut local: Vec<(usize, R)> = Vec::new();
                     loop {
                         let own = deques[me].lock().expect("deque poisoned").pop_front();
@@ -360,20 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_maps_run_inline_in_workers() {
-        let out = with_threads(4, || {
-            map_indexed(8, |i| {
-                assert!(in_worker() || thread_count() == 1);
-                // The nested call must not spawn a second pool.
-                let inner = map_indexed(16, move |j| i * 100 + j);
-                inner.iter().sum::<usize>()
-            })
-        });
-        let expect: Vec<usize> = (0..8).map(|i| (0..16).map(|j| i * 100 + j).sum()).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
     fn with_threads_overrides_and_restores() {
         let outer = thread_count();
         let inner = with_threads(7, thread_count);
@@ -412,38 +297,6 @@ mod tests {
         std::env::remove_var(THREADS_ENV);
         assert!(thread_count() >= 1);
     }
-
-    #[test]
-    fn try_map_contains_panics_and_reports_lowest_index() {
-        for threads in [1, 4] {
-            let err = with_threads(threads, || {
-                try_map_indexed(32, |i| {
-                    if i == 13 || i == 21 {
-                        panic!("task {i} exploded");
-                    }
-                    i
-                })
-            })
-            .unwrap_err();
-            assert_eq!(err.task, 13, "threads={threads}");
-            assert_eq!(err.message, "task 13 exploded");
-            assert!(err.to_string().contains("task 13 panicked"));
-        }
-    }
-
-    #[test]
-    fn try_map_matches_map_when_nothing_panics() {
-        let ok = with_threads(4, || try_map_indexed(100, |i| i * 7)).unwrap();
-        assert_eq!(ok, (0..100).map(|i| i * 7).collect::<Vec<_>>());
-        let items: Vec<i32> = (0..20).collect();
-        let out = with_threads(4, || try_map(&items, |&x| x + 1)).unwrap();
-        assert_eq!(out, (1..21).collect::<Vec<_>>());
-    }
-
-    // Injected `exec.task_panic` faults are exercised by the
-    // root-level chaos suite (`tests/chaos.rs`): faultinject arming is
-    // process-global and would race the other parallel unit tests in
-    // this binary, which all hit the same failpoint via map_indexed.
 
     #[test]
     #[should_panic(expected = "task 13 exploded")]

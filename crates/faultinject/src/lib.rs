@@ -16,7 +16,7 @@
 //! |---------------------|------------------------------------------|
 //! | `dvi.solver_abort`  | DVI ILP solve aborts (panics internally; caught by the resilient wrapper) |
 //! | `core.slow_phase`   | routing phase sleeps for the armed delay |
-//! | `exec.task_panic`   | a pool worker task panics                |
+//! | `core.phase_panic`  | routing phase panics as it starts (contained by `try_finish`, or unwinds to the caller of a phase method) |
 //! | `io.torn_write`     | a journal append persists only a byte prefix, then the journal goes dead (simulated crash mid-write) |
 //! | `io.fsync_fail`     | a journal fsync reports failure; the accepting `submit` returns a typed error |
 //! | `io.short_read`     | a journal recovery scan sees a truncated tail (simulated partially-persisted file) |
@@ -24,10 +24,10 @@
 //! ```
 //! let _guard = faultinject::arm(
 //!     7,
-//!     faultinject::FaultSpec::new().point("exec.task_panic", 0.5),
+//!     faultinject::FaultSpec::new().point("core.phase_panic", 0.5),
 //! );
 //! assert!(faultinject::is_armed());
-//! // ... run the system under test; ~half the task hits panic ...
+//! // ... run the system under test; ~half the phase starts panic ...
 //! drop(_guard); // disarms
 //! assert!(!faultinject::is_armed());
 //! ```

@@ -62,10 +62,10 @@ pub enum RouteError {
         /// Why it failed.
         reason: String,
     },
-    /// A contained worker-task panic (see `sadp-exec::TaskPanicked`).
+    /// A panic inside the routing flow, contained by
+    /// `RoutingSession::try_new` or `RoutingSession::try_finish`
+    /// (`sadp-router`).
     TaskPanicked {
-        /// The lowest panicking task index.
-        task: usize,
         /// The panic message.
         message: String,
     },
@@ -104,9 +104,7 @@ impl std::fmt::Display for RouteError {
             RouteError::Solver { solver, reason } => {
                 write!(f, "solver '{solver}' failed: {reason}")
             }
-            RouteError::TaskPanicked { task, message } => {
-                write!(f, "worker task {task} panicked: {message}")
-            }
+            RouteError::TaskPanicked { message } => write!(f, "routing flow panicked: {message}"),
             RouteError::Durability { what, reason } => {
                 write!(f, "durability failure in {what}: {reason}")
             }
@@ -190,10 +188,9 @@ mod tests {
             ),
             (
                 RouteError::TaskPanicked {
-                    task: 2,
                     message: "boom".into(),
                 },
-                "task 2 panicked",
+                "routing flow panicked: boom",
             ),
             (
                 RouteError::Durability {

@@ -292,9 +292,8 @@ impl RouteRequest {
 
     /// The router configuration this request resolves to, with the
     /// job's [`JobBudget::max_phase_iters`] as both R&R iteration
-    /// caps. The pool width comes from `sadp-exec` and is
-    /// output-invariant, so the request still fully determines the
-    /// routing result.
+    /// caps. A session reads no other setting, so the request fully
+    /// determines the routing result.
     pub fn router_config(&self) -> Result<RouterConfig, ConfigError> {
         let (dvi, tpl) = match self.arm {
             Arm::Baseline => (false, false),

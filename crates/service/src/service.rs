@@ -27,10 +27,11 @@
 //!
 //! ## Containment
 //!
-//! Each job runs inside `catch_unwind`; a panicking job (including a
-//! contained `sadp-exec` worker panic surfacing through the session)
-//! resolves to a typed [`JobOutcome::Failed`] and the worker thread
-//! moves on. The daemon itself never dies with a job.
+//! Each job runs inside `catch_unwind`; a panicking job (a panic in a
+//! budget slice unwinds to it, one in `try_finish` comes back as a
+//! contained `TaskPanicked` error) resolves to a typed
+//! [`JobOutcome::Failed`] and the worker thread moves on. The daemon
+//! itself never dies with a job.
 
 use std::collections::VecDeque;
 use std::io::Write as _;

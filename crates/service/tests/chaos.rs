@@ -1,9 +1,10 @@
 //! The acceptance chaos leg: a 500-job mixed load with the
-//! `exec.task_panic` failpoint armed. The failpoint fires in pool
-//! tasks, among them `ensure_colorable`'s per-layer `try_map_indexed`,
-//! whose panics surface as contained `TaskPanicked` faults; the service
-//! must keep every job typed — completed, failed, or cancelled — and
-//! the daemon itself must neither panic nor hang.
+//! `core.phase_panic` failpoint armed. The failpoint fires at the start
+//! of a routing phase activation: inside `try_finish` the session
+//! contains it as `TaskPanicked`, and in a budget slice it unwinds to
+//! the job's `catch_unwind`. The service must keep every job typed —
+//! completed, failed, or cancelled — and the daemon itself must
+//! neither panic nor hang.
 //!
 //! Own test binary: fault plans are process-global.
 
@@ -14,13 +15,9 @@ use sadp_service::{
 
 #[test]
 fn mixed_load_survives_injected_worker_panics() {
-    // Two pool threads, so the injected panics also unwind inside pool
-    // workers and not only on the inline serial path; pinned so the
-    // run does not depend on the host's core count.
-    std::env::set_var("SADP_EXEC_THREADS", "2");
     let _faults = faultinject::arm(
         42,
-        faultinject::FaultSpec::new().point("exec.task_panic", 0.02),
+        faultinject::FaultSpec::new().point("core.phase_panic", 0.02),
     );
 
     let service = Service::start(ServiceConfig {
@@ -84,7 +81,7 @@ fn mixed_load_survives_injected_worker_panics() {
     assert!(completed > 0, "most jobs complete despite injected faults");
     assert!(
         failed > 0,
-        "p=0.02 over thousands of pool tasks injects at least one fault"
+        "p=0.02 over every job's phase activations injects at least one fault"
     );
     // Early cancels may legally race to Completed if the worker won;
     // what matters is that none of them is still pending, which the
@@ -93,6 +90,4 @@ fn mixed_load_survives_injected_worker_panics() {
 
     // The daemon survived: a clean drain accounts for every job.
     assert_eq!(service.shutdown(), JOBS);
-
-    std::env::remove_var("SADP_EXEC_THREADS");
 }

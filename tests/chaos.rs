@@ -57,15 +57,28 @@ fn assert_contract(grid: &RoutingGrid, netlist: &Netlist, config: RouterConfig) 
     }
 }
 
+/// A panic injected at the start of a phase activation never escapes
+/// `try_finish`: at p = 0.5 the contract holds, and at p = 1.0 the
+/// first phase panics, so every arm must report it as
+/// `RouteError::TaskPanicked`.
 #[test]
 fn worker_panics_never_escape_any_arm() {
     let _g = lock();
     let (grid, netlist) = tiny_instance();
     for kind in [SadpKind::Sim, SadpKind::Sid] {
         for config in arms(kind) {
-            for p in [0.5, 1.0] {
-                let _f = faultinject::arm(42, FaultSpec::new().point("exec.task_panic", p));
+            {
+                let _f = faultinject::arm(42, FaultSpec::new().point("core.phase_panic", 0.5));
                 assert_contract(&grid, &netlist, config);
+            }
+            let _f = faultinject::arm(42, FaultSpec::new().point("core.phase_panic", 1.0));
+            let session =
+                RoutingSession::try_new(&grid, &netlist, config).expect("inputs are valid");
+            match session.try_finish(&mut NoopObserver) {
+                Err(RouteError::TaskPanicked { message }) => {
+                    assert!(message.contains("core.phase_panic"), "{message}");
+                }
+                other => panic!("{kind}: expected a contained panic, got {other:?}"),
             }
         }
     }
@@ -148,7 +161,7 @@ fn all_failpoints_at_once_hold_the_contract() {
         let _f = faultinject::arm(
             seed,
             FaultSpec::new()
-                .point("exec.task_panic", 0.3)
+                .point("core.phase_panic", 0.3)
                 .point("core.slow_phase", 0.5)
                 .point("dvi.solver_abort", 1.0)
                 .delay(Duration::from_millis(5)),
