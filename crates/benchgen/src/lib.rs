@@ -25,6 +25,8 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod oracle;
 pub mod spec;
 
 pub use spec::BenchSpec;

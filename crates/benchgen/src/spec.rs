@@ -3,11 +3,13 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sadp_grid::{Net, Netlist, Pin, RoutingGrid};
-use std::collections::HashSet;
 
 /// Minimum Chebyshev spacing between any two pins, in tracks. Three
 /// tracks puts every pin-via pair beyond the same-color via pitch.
 pub const PIN_SPACING: i32 = 3;
+
+/// Smallest die side, in tracks, that `scaled` and `synthetic` produce.
+const MIN_SIDE: i32 = 24;
 
 /// One benchmark circuit: name, net count, and grid size (Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +89,8 @@ impl BenchSpec {
     /// Panics above ~50M nets (the grid would cross the 2^32-cell
     /// dense-storage cap).
     pub fn synthetic(nets: usize) -> BenchSpec {
-        let dim = ((nets as f64 * BenchSpec::PAPER_CELLS_PER_NET).sqrt().ceil() as i32).max(24);
+        let dim =
+            ((nets as f64 * BenchSpec::PAPER_CELLS_PER_NET).sqrt().ceil() as i32).max(MIN_SIDE);
         assert!(
             3 * dim as u64 * dim as u64 <= sadp_grid::MAX_DENSE_CELLS,
             "synthetic instance of {nets} nets exceeds the dense-storage cap"
@@ -112,8 +115,8 @@ impl BenchSpec {
         BenchSpec {
             name: self.name,
             nets: ((self.nets as f64 * factor).round() as usize).max(1),
-            width: ((self.width as f64 * lin).round() as i32).max(24),
-            height: ((self.height as f64 * lin).round() as i32).max(24),
+            width: ((self.width as f64 * lin).round() as i32).max(MIN_SIDE),
+            height: ((self.height as f64 * lin).round() as i32).max(MIN_SIDE),
         }
     }
 
@@ -130,43 +133,11 @@ impl BenchSpec {
     /// fills up (pin spacing cannot be honored), the net count is
     /// silently reduced — this never happens for the paper densities.
     pub fn generate(&self, seed: u64) -> Netlist {
-        let mut rng = SmallRng::seed_from_u64(seed ^ hash_name(self.name));
-        let mut used: HashSet<(i32, i32)> = HashSet::new();
         let mut netlist = Netlist::new();
-        let margin = 2i32;
-        'nets: for k in 0..self.nets {
-            for _attempt in 0..200 {
-                let pin_count = match rng.gen_range(0..100) {
-                    0..=59 => 2,
-                    60..=84 => 3,
-                    85..=94 => 4,
-                    _ => 5,
-                };
-                // Span: local by default, global tail.
-                let local_cap = 30.min(self.width.min(self.height) / 2).max(8);
-                let span = if rng.gen_range(0..100) < 10 {
-                    rng.gen_range(local_cap..=(self.width.min(self.height) / 4).max(local_cap + 1))
-                } else {
-                    rng.gen_range(4..=local_cap)
-                };
-                let cx = rng.gen_range(margin..(self.width - margin - 1).max(margin + 1));
-                let cy = rng.gen_range(margin..(self.height - margin - 1).max(margin + 1));
-                if let Some(pins) = place_pins(&mut rng, &used, self, cx, cy, span, pin_count) {
-                    for &p in &pins {
-                        used.insert((p.x, p.y));
-                    }
-                    netlist.push(Net::new(format!("{}_{k}", self.name), pins));
-                    continue 'nets;
-                }
-            }
-            // Die full: stop early (documented behavior).
-            break;
-        }
+        self.place_nets(seed, self.nets, &mut SpacingMap::new(self), &mut netlist);
         netlist
     }
-}
 
-impl BenchSpec {
     /// Generates a datapath-style variant of the netlist: a fraction
     /// of the nets form parallel buses (groups of equal-length nets on
     /// consecutive tracks), the rest follow the standard random-logic
@@ -175,7 +146,7 @@ impl BenchSpec {
     pub fn generate_bus_style(&self, seed: u64, bus_fraction: f64) -> Netlist {
         assert!((0.0..=1.0).contains(&bus_fraction));
         let mut rng = SmallRng::seed_from_u64(seed ^ hash_name(self.name) ^ 0xB05);
-        let mut used: HashSet<(i32, i32)> = HashSet::new();
+        let mut map = SpacingMap::new(self);
         let mut netlist = Netlist::new();
         // `.round()`, matching `scaled`'s net-count rule: truncation
         // made the bus fraction drift to zero at small scale factors
@@ -194,49 +165,34 @@ impl BenchSpec {
             for b in 0..bits as i32 {
                 let y = y0 + b * PIN_SPACING;
                 for x in [x0, x0 + len] {
-                    let clear = (-(PIN_SPACING - 1)..PIN_SPACING).all(|dx| {
-                        (-(PIN_SPACING - 1)..PIN_SPACING)
-                            .all(|dy| !used.contains(&(x + dx, y + dy)))
-                    });
-                    if !clear {
+                    if map.blocked(x, y) {
                         continue 'buses;
                     }
-                    pins.push((x, y));
+                    pins.push(Pin::new(x, y));
                 }
             }
-            for &(x, y) in &pins {
-                used.insert((x, y));
+            for p in &pins {
+                map.place(p.x, p.y);
             }
             for (b, pair) in pins.chunks(2).enumerate() {
                 netlist.push(Net::new(
                     format!("{}_bus{}_{}", self.name, netlist.len(), b),
-                    vec![
-                        Pin::new(pair[0].0, pair[0].1),
-                        Pin::new(pair[1].0, pair[1].1),
-                    ],
+                    pair.to_vec(),
                 ));
             }
         }
-        // Fill the rest with the standard mixture.
-        let remaining = BenchSpec {
-            nets: self.nets - netlist.len(),
-            ..*self
-        };
-        let mut filler = remaining.generate_with_used(seed, &mut used);
-        for (_, net) in filler.iter() {
-            netlist.push(net.clone());
-        }
-        let _ = &mut filler;
+        // Fill the rest with the standard mixture, on its own stream.
+        self.place_nets(seed, self.nets - netlist.len(), &mut map, &mut netlist);
         netlist
     }
 
-    /// Standard generation continuing from an existing pin-occupancy
-    /// set (shared by the bus-style generator).
-    fn generate_with_used(&self, seed: u64, used: &mut HashSet<(i32, i32)>) -> Netlist {
+    /// The standard mixture: appends up to `nets` nets named
+    /// `{name}_0`, `{name}_1`, … to `netlist`, each pin clear of every
+    /// pin `map` holds, and stops early when the die is full.
+    fn place_nets(&self, seed: u64, nets: usize, map: &mut SpacingMap, netlist: &mut Netlist) {
         let mut rng = SmallRng::seed_from_u64(seed ^ hash_name(self.name));
-        let mut netlist = Netlist::new();
         let margin = 2i32;
-        'nets: for k in 0..self.nets {
+        'nets: for k in 0..nets {
             for _attempt in 0..200 {
                 let pin_count = match rng.gen_range(0..100) {
                     0..=59 => 2,
@@ -244,6 +200,7 @@ impl BenchSpec {
                     85..=94 => 4,
                     _ => 5,
                 };
+                // Span: local by default, global tail.
                 let local_cap = 30.min(self.width.min(self.height) / 2).max(8);
                 let span = if rng.gen_range(0..100) < 10 {
                     rng.gen_range(local_cap..=(self.width.min(self.height) / 4).max(local_cap + 1))
@@ -252,21 +209,71 @@ impl BenchSpec {
                 };
                 let cx = rng.gen_range(margin..(self.width - margin - 1).max(margin + 1));
                 let cy = rng.gen_range(margin..(self.height - margin - 1).max(margin + 1));
-                if let Some(pins) = place_pins(&mut rng, used, self, cx, cy, span, pin_count) {
-                    for &p in &pins {
-                        used.insert((p.x, p.y));
+                if let Some(pins) = place_pins(&mut rng, map, self, cx, cy, span, pin_count) {
+                    for p in &pins {
+                        map.place(p.x, p.y);
                     }
                     netlist.push(Net::new(format!("{}_{k}", self.name), pins));
                     continue 'nets;
                 }
             }
+            // Die full: stop early (documented behavior).
             break;
         }
-        netlist
     }
 }
 
-fn hash_name(name: &str) -> u64 {
+/// The cells of the die too close to a placed pin for another one:
+/// one bit per cell over the die padded by `PIN_SPACING - 1` on every
+/// side. Placing a pin sets every cell within Chebyshev distance
+/// `PIN_SPACING - 1` of it, so a candidate's spacing test is one read.
+/// At one bit per cell, the 2·10⁶-net synthetic die takes under 20 MB.
+struct SpacingMap {
+    /// Padded width, in cells.
+    stride: usize,
+    bits: Vec<u64>,
+}
+
+/// How far a placed pin blocks, in tracks.
+const REACH: i32 = PIN_SPACING - 1;
+
+impl SpacingMap {
+    /// An empty map over `spec`'s die. Every pin lies at coordinate 2
+    /// or more and below the die's side, except on a die narrower than
+    /// `MIN_SIDE`, where a bus can reach past the edge but not past
+    /// `MIN_SIDE - 1`; so the map spans at least `MIN_SIDE` each way.
+    fn new(spec: &BenchSpec) -> SpacingMap {
+        let padded = |side: i32| (side.max(MIN_SIDE) + 2 * REACH) as usize;
+        let stride = padded(spec.width);
+        SpacingMap {
+            stride,
+            bits: vec![0; (stride * padded(spec.height)).div_ceil(64)],
+        }
+    }
+
+    fn index(&self, x: i32, y: i32) -> usize {
+        (y + REACH) as usize * self.stride + (x + REACH) as usize
+    }
+
+    /// Whether a pin at `(x, y)` would sit closer than `PIN_SPACING`
+    /// to a placed one.
+    fn blocked(&self, x: i32, y: i32) -> bool {
+        let i = self.index(x, y);
+        self.bits[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Records a pin at `(x, y)`.
+    fn place(&mut self, x: i32, y: i32) {
+        for dy in -REACH..=REACH {
+            for dx in -REACH..=REACH {
+                let i = self.index(x + dx, y + dy);
+                self.bits[i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
+}
+
+pub(crate) fn hash_name(name: &str) -> u64 {
     // FNV-1a, so every circuit gets a distinct deterministic stream.
     let mut h: u64 = 0xcbf29ce484222325;
     for b in name.bytes() {
@@ -276,9 +283,11 @@ fn hash_name(name: &str) -> u64 {
     h
 }
 
+/// Draws `pin_count` pins around `(cx, cy)`, each clear of `map` and of
+/// the net's earlier pins, with up to 60 tries per pin.
 fn place_pins(
     rng: &mut SmallRng,
-    used: &HashSet<(i32, i32)>,
+    map: &SpacingMap,
     spec: &BenchSpec,
     cx: i32,
     cy: i32,
@@ -294,25 +303,13 @@ fn place_pins(
         return None;
     }
     let mut pins: Vec<Pin> = Vec::with_capacity(pin_count);
-    let mut fresh: Vec<(i32, i32)> = Vec::new();
     'pins: for _ in 0..pin_count {
         for _try in 0..60 {
             let x = rng.gen_range(x0..=x1);
             let y = rng.gen_range(y0..=y1);
-            let clear = |set: &HashSet<(i32, i32)>| {
-                for dx in -(PIN_SPACING - 1)..PIN_SPACING {
-                    for dy in -(PIN_SPACING - 1)..PIN_SPACING {
-                        if set.contains(&(x + dx, y + dy)) {
-                            return false;
-                        }
-                    }
-                }
-                true
-            };
-            let local: HashSet<(i32, i32)> = fresh.iter().copied().collect();
-            if clear(used) && clear(&local) {
+            let spaced = |p: &Pin| (p.x - x).abs().max((p.y - y).abs()) >= PIN_SPACING;
+            if !map.blocked(x, y) && pins.iter().all(spaced) {
                 pins.push(Pin::new(x, y));
-                fresh.push((x, y));
                 continue 'pins;
             }
         }

@@ -86,7 +86,7 @@ pub enum JobSource {
     Spec {
         /// Circuit name (`ecc`, `efc`, `ctl`, `alu`, `div`, `top`).
         name: String,
-        /// Netlist scale factor (1.0 = full size).
+        /// Netlist scale factor in (0, 1] (1.0 = full size).
         scale: f64,
         /// Generator seed.
         seed: u64,
@@ -124,8 +124,9 @@ impl JobSource {
             JobSource::Spec { name, scale, seed } => {
                 let spec = benchgen::BenchSpec::by_name(name)
                     .ok_or_else(|| format!("unknown circuit {name:?}"))?;
-                if !scale.is_finite() || *scale <= 0.0 || *scale > 16.0 {
-                    return Err(format!("scale {scale} out of range (0, 16]"));
+                // `BenchSpec::scaled` only shrinks a circuit.
+                if !scale.is_finite() || *scale <= 0.0 || *scale > 1.0 {
+                    return Err(format!("scale {scale} out of range (0, 1]"));
                 }
                 let spec = spec.scaled(*scale);
                 Ok((spec.grid(), spec.generate(*seed)))
@@ -535,6 +536,15 @@ mod tests {
             seed: 0,
         };
         assert!(bad_scale.materialize().is_err());
+        for scale in [1.0 + 1e-9, 2.0, 16.0] {
+            let too_big = JobSource::Spec {
+                name: "ecc".into(),
+                scale,
+                seed: 0,
+            };
+            let err = too_big.materialize().unwrap_err();
+            assert!(err.contains("(0, 1]"), "{err}");
+        }
         let synth = JobSource::Synthetic { nets: 16, seed: 1 };
         let (grid, nl) = synth.materialize().unwrap();
         assert_eq!(nl.len(), 16);

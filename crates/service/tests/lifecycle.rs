@@ -133,6 +133,33 @@ fn oversized_iteration_cap_fails_as_config() {
     service.shutdown();
 }
 
+/// A spec scale above 1 is refused as a `source` error naming the
+/// accepted range; it used to reach `BenchSpec::scaled` and end the job
+/// as a caught panic.
+#[test]
+fn oversized_spec_scale_fails_as_source() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let source = JobSource::Spec {
+        name: "ecc".into(),
+        scale: 2.0,
+        seed: 1,
+    };
+    let id = service
+        .submit(RouteRequest::new(source, SadpKind::Sim))
+        .expect("accepts job");
+    match service.wait(id).expect("known job").outcome {
+        JobOutcome::Failed { kind, error } => {
+            assert_eq!(kind, "source", "{error}");
+            assert!(error.contains("(0, 1]"), "{error}");
+        }
+        other => panic!("expected Failed, got {}", other.name()),
+    }
+    service.shutdown();
+}
+
 #[test]
 fn queue_cap_rejects_submissions() {
     let service = Service::start(ServiceConfig {

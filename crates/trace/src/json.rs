@@ -267,20 +267,28 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Copies each run of bytes that needs no escape with one `push_str`.
+/// Every byte it escapes is ASCII, so each run ends on a char boundary.
 fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
 }
 
 fn write_str(out: &mut String, s: &str) {
@@ -548,6 +556,46 @@ mod tests {
         let v = parse(r#""a\"b\\c\ndAé\u00e9\/""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndAéé/"));
         assert_eq!(parse(r#""\ud83dx""#).unwrap().as_str(), Some("\u{fffd}x"));
+    }
+
+    /// The char-at-a-time escaper the run-copying one replaced.
+    fn escape_chars(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn run_copying_escape_matches_the_char_escaper() {
+        let mut pieces: Vec<String> = (0u8..0x20).map(|b| char::from(b).to_string()).collect();
+        for p in [
+            "\"", "\\", "\u{7f}", "a", "plain", "é", "€", "日本", "🦀", "\u{fffd}",
+        ] {
+            pieces.push(p.to_string());
+        }
+        // Every pair of pieces, adjacent at both ends of the string and
+        // between runs that need no escape.
+        for a in &pieces {
+            for b in &pieces {
+                for s in [format!("{a}{b}"), format!("x{a}y{b}z")] {
+                    assert_eq!(escape(&s), escape_chars(&s), "{s:?}");
+                }
+            }
+        }
+        let all: String = pieces.concat();
+        assert_eq!(escape(&all), escape_chars(&all));
     }
 
     #[test]

@@ -50,25 +50,41 @@ fn factor_sweep_applies_one_rounding_rule() {
     assert_eq!(bus, ((s.nets as f64 * 0.1).round() as usize).min(s.nets));
 }
 
-/// Generated instances at the existing benchmark scales are pinned by
-/// fingerprint: any change to the generator shifts every committed
-/// benchmark baseline, so it must be loud.
+/// Generated instances are pinned by fingerprint: any change to the
+/// generator shifts every committed benchmark baseline, so it must be
+/// loud. The rows cover the benchmark's inputs: the five flow-paper
+/// circuits at the smoke scale, a small and a bulk service-mix layout,
+/// and one bus-style instance. A faster placement loop must keep every
+/// RNG draw and every accept/reject answer, so each digest holds.
 #[test]
 fn generation_fingerprints_are_stable_at_existing_scales() {
+    let paper = |name: &str, factor: f64| BenchSpec::by_name(name).unwrap().scaled(factor);
+    let synth = BenchSpec::synthetic;
+    // (spec, seed, bus fraction or 0 for `generate`, digest)
     let pins = [
-        ("ecc", 0.05, 1u64, 0x5247c822cf35d742u64),
-        ("ecc", 0.1, 1, 0x6ed74674e7a8c7a8),
-        ("alu", 0.1, 1, 0x93ff3c80921f925e),
+        (paper("ecc", 0.05), 1, 0.0, 0x5247c822cf35d742u64),
+        (paper("efc", 0.05), 1, 0.0, 0xd1d813e260dbb3e2),
+        (paper("ctl", 0.05), 1, 0.0, 0x3159d6e4bde117b0),
+        (paper("alu", 0.05), 1, 0.0, 0x6d6179e466a8912c),
+        (paper("div", 0.05), 1, 0.0, 0xc1de5dca9b89175c),
+        (paper("ecc", 0.1), 1, 0.0, 0x6ed74674e7a8c7a8),
+        (paper("alu", 0.1), 1, 0.0, 0x93ff3c80921f925e),
+        (synth(38), 7, 0.0, 0x18b43da7516e3efa),
+        (synth(400), 1, 0.0, 0x9737eda71f5bce3b),
+        (paper("alu", 0.1), 2, 0.3, 0x4f21573366fb4440),
     ];
-    for (name, factor, seed, want) in pins {
-        let spec = BenchSpec::by_name(name).unwrap().scaled(factor);
-        let text = write_netlist(&spec.grid(), &spec.generate(seed));
+    for (spec, seed, bus, want) in pins {
+        let netlist = if bus > 0.0 {
+            spec.generate_bus_style(seed, bus)
+        } else {
+            spec.generate(seed)
+        };
+        let got = fnv(&write_netlist(&spec.grid(), &netlist));
         assert_eq!(
-            fnv(&text),
-            want,
-            "{name} @ {factor} seed {seed}: generator output drifted \
-             (got 0x{:016x})",
-            fnv(&text)
+            got, want,
+            "{} ({} nets) seed {seed}, bus fraction {bus}: generator output \
+             drifted (got 0x{got:016x})",
+            spec.name, spec.nets
         );
     }
 }
